@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace hygraph {
 
@@ -50,6 +51,20 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+std::string FormatDouble(double d) {
+  std::string out;
+  AppendDouble(&out, d);
+  return out;
+}
+
+void AppendDouble(std::string* out, double d) {
+  // The longest shortest-form double, "-2.2250738585072014e-308", is 24
+  // characters.
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), d);
+  out->append(buf, result.ptr);
 }
 
 }  // namespace hygraph

@@ -24,6 +24,13 @@ std::string ToLower(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+/// Shortest decimal text that parses back (strtod) to the same double, bit
+/// for bit: 23.4 prints as "23.4", not "23.399999999999999". -0.0, ±inf
+/// and NaN keep their sign ("-0", "-inf", "-nan").
+std::string FormatDouble(double d);
+/// FormatDouble appended to `out`, without a temporary string.
+void AppendDouble(std::string* out, double d);
+
 }  // namespace hygraph
 
 #endif  // HYGRAPH_COMMON_STRINGS_H_

@@ -21,13 +21,6 @@ namespace hygraph::core {
 
 namespace {
 
-// Round-trippable double formatting.
-std::string FormatDouble(double d) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
-
 std::string FormatInterval(const Interval& interval) {
   return std::to_string(interval.start) + " " + std::to_string(interval.end);
 }
@@ -108,9 +101,11 @@ void AppendMultiSeries(std::string* out, const ts::MultiSeries& ms) {
   }
   *out += " " + std::to_string(ms.size());
   for (size_t r = 0; r < ms.size(); ++r) {
-    *out += " " + std::to_string(ms.times()[r]);
+    *out += ' ';
+    *out += std::to_string(ms.times()[r]);
     for (size_t c = 0; c < ms.variable_count(); ++c) {
-      *out += " " + FormatDouble(ms.at(r, c));
+      *out += ' ';
+      AppendDouble(out, ms.at(r, c));
     }
   }
 }

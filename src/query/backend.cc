@@ -37,6 +37,16 @@ Result<SeriesId> QueryBackend::EnsureSeries(bool /*vertex*/,
   return Status::Unimplemented(name() + " does not bind catalogued series");
 }
 
+Status QueryBackend::AppendSamples(std::span<const SampleWrite> samples) {
+  for (const SampleWrite& s : samples) {
+    HYGRAPH_RETURN_IF_ERROR(
+        s.entity.kind == EntityRef::kVertex
+            ? AppendVertexSample(s.entity.id, s.key, s.t, s.value)
+            : AppendEdgeSample(s.entity.id, s.key, s.t, s.value));
+  }
+  return Status::OK();
+}
+
 Status QueryBackend::MutateTopology(
     const std::function<Status(graph::PropertyGraph*)>& fn) {
   graph::PropertyGraph* g = mutable_topology();

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,24 @@ std::string SeriesSlotName(bool vertex, uint64_t entity,
 bool ParseSeriesSlotName(const std::string& name, bool* vertex,
                          uint64_t* entity, std::string* key);
 
+/// A vertex or an edge: one keyspace for both, with the kind as part of the
+/// key rather than a second set of methods.
+struct EntityRef {
+  enum Kind : uint8_t { kVertex = 0, kEdge = 1 };
+  Kind kind = kVertex;
+  uint64_t id = 0;
+
+  bool operator==(const EntityRef&) const = default;
+};
+
+/// One sample bound for the series stored under (entity, key).
+struct SampleWrite {
+  EntityRef entity;
+  std::string key;
+  Timestamp t = 0;
+  double value = 0.0;
+};
+
 /// The storage abstraction HGQL executes against. Both architectures of
 /// Figure 1 implement it:
 ///
@@ -112,6 +131,13 @@ class QueryBackend {
   /// Appends one sample to the series stored under (edge, key).
   virtual Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
                                   Timestamp t, double value) = 0;
+
+  /// Appends a batch of samples in order and stops at the first one that
+  /// fails, returning its status: the samples before it stay applied, the
+  /// ones after it are not attempted. Creates series on first use. The
+  /// default loops over Append{Vertex,Edge}Sample; DurableStore overrides
+  /// it to log the whole batch as one WAL record.
+  virtual Status AppendSamples(std::span<const SampleWrite> samples);
 
   /// Runs `fn` on the mutable topology under the backend's write guard,
   /// performing any copy-on-write detach first so pinned snapshots keep

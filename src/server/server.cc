@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/clock.h"
 #include "obs/slow_query.h"
@@ -409,18 +410,17 @@ WireResponse HgqlServer::HandleAppend(Session& session,
     return ErrorResponse(Status::FailedPrecondition(
         "server is read-only: no durable store attached"));
   }
-  const auto apply = [this, &req]() -> Status {
-    for (const SampleUpdate& s : req.samples) {
-      if (s.kind == SampleUpdate::kVertex) {
-        HYGRAPH_RETURN_IF_ERROR(
-            durable_->AppendVertexSample(s.id, s.key, s.timestamp, s.value));
-      } else {
-        HYGRAPH_RETURN_IF_ERROR(
-            durable_->AppendEdgeSample(s.id, s.key, s.timestamp, s.value));
-      }
-    }
-    return Status::OK();
-  };
+  // One frame = one WAL record, applied in order up to the first failing
+  // sample (DurableStore::AppendSamples).
+  std::vector<query::SampleWrite> batch;
+  batch.reserve(req.samples.size());
+  for (const SampleUpdate& s : req.samples) {
+    const auto kind = s.kind == SampleUpdate::kVertex
+                          ? query::EntityRef::kVertex
+                          : query::EntityRef::kEdge;
+    batch.push_back({{kind, s.id}, s.key, s.timestamp, s.value});
+  }
+  const auto apply = [this, &batch] { return durable_->AppendSamples(batch); };
   const Status status = req.no_sync ? committer_->CommitNoSync(apply)
                                     : committer_->Commit(apply);
   if (!status.ok()) return ErrorResponse(status);

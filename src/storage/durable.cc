@@ -1,5 +1,6 @@
 #include "storage/durable.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
@@ -21,18 +22,20 @@ namespace {
 // key <key> (see BuildSnapshotText).
 constexpr char kSnapshotSeriesPrefix[] = "__durable_series__";
 
-// Round-trippable double formatting (mirrors core/serialize.cc).
-std::string FormatDouble(double d) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
-
 // -- WAL record payload encoding ---------------------------------------------
 //
 // One text line per record: "<seq> <op> <operands...>", strings
 // percent-encoded with core::EncodeField, values tagged like the
-// serialization format (n, b:0/1, i:<int>, d:<double>, s:<string>).
+// serialization format (n, b:0/1, i:<int>, d:<double>, s:<string>), doubles
+// in shortest round-trip form (FormatDouble).
+//
+// A sample batch is one "AB" record grouping runs of consecutive samples
+// that share an entity and key:
+//
+//   <seq> AB <runs> { <V|E> <id> <key> <n> { <t> <value> }×n }×runs
+//
+// "AV"/"AE" (one sample per record) are no longer written; ApplyRecord
+// still decodes them so logs from earlier builds replay.
 
 std::string EncodeValue(const Value& value) {
   switch (value.type()) {
@@ -169,11 +172,74 @@ class RecordCursor {
     }
     return props;
   }
+  /// The operands of an "AB" record (see the grammar above).
+  Result<std::vector<query::SampleWrite>> NextSampleBatch() {
+    auto runs = NextUint();
+    if (!runs.ok()) return runs.status();
+    std::vector<query::SampleWrite> batch;
+    for (uint64_t r = 0; r < *runs; ++r) {
+      auto kind = Next();
+      if (!kind.ok()) return kind.status();
+      if (*kind != "V" && *kind != "E") {
+        return Status::Corruption("WAL record: bad entity kind '" + *kind +
+                                  "'");
+      }
+      auto id = NextUint();
+      if (!id.ok()) return id.status();
+      auto key = NextDecoded();
+      if (!key.ok()) return key.status();
+      auto count = NextUint();
+      if (!count.ok()) return count.status();
+      const query::EntityRef entity{
+          *kind == "V" ? query::EntityRef::kVertex : query::EntityRef::kEdge,
+          *id};
+      for (uint64_t i = 0; i < *count; ++i) {
+        auto t = NextInt();
+        if (!t.ok()) return t.status();
+        auto value = NextDouble();
+        if (!value.ok()) return value.status();
+        batch.push_back({entity, *key, *t, *value});
+      }
+    }
+    return batch;
+  }
 
  private:
   std::vector<std::string> tokens_;
   size_t pos_ = 0;
 };
+
+bool SameSeries(const query::SampleWrite& a, const query::SampleWrite& b) {
+  return a.entity == b.entity && a.key == b.key;
+}
+
+std::string EncodeSampleBatch(std::span<const query::SampleWrite> samples) {
+  size_t runs = 0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    if (i == 0 || !SameSeries(samples[i - 1], samples[i])) ++runs;
+  }
+  std::string out = "AB " + std::to_string(runs);
+  out.reserve(out.size() + samples.size() * 24);
+  for (size_t i = 0; i < samples.size();) {
+    size_t end = i + 1;
+    while (end < samples.size() && SameSeries(samples[i], samples[end])) {
+      ++end;
+    }
+    out += samples[i].entity.kind == query::EntityRef::kVertex ? " V " : " E ";
+    out += std::to_string(samples[i].entity.id);
+    out += ' ';
+    out += core::EncodeField(samples[i].key);
+    out += ' ';
+    out += std::to_string(end - i);
+    for (; i < end; ++i) {
+      out += ' ';
+      out += std::to_string(samples[i].t);
+      out += ' ';
+      AppendDouble(&out, samples[i].value);
+    }
+  }
+  return out;
+}
 
 Status CheckDenseIds(const graph::PropertyGraph& graph) {
   const auto vertex_ids = graph.VertexIds();
@@ -362,6 +428,7 @@ DurableStore::DurableStore(Env* env, std::string dir,
       options_(options),
       metrics_(std::make_unique<obs::MetricsRegistry>()),
       records_logged_(metrics_->counter("durable.records_logged")),
+      samples_logged_(metrics_->counter("durable.samples_logged")),
       checkpoints_(metrics_->counter("durable.checkpoints")),
       checkpoint_nanos_(metrics_->histogram("durable.checkpoint_nanos")),
       retries_(metrics_->counter("durable.retries")),
@@ -459,6 +526,7 @@ Status DurableStore::Open() {
   recovery_.wal_torn_tail = scan->torn_tail;
   uint64_t max_seq = snap_seq;
   std::vector<const std::string*> live_records;
+  size_t live_weight = 0;
   for (const std::string& record : scan->records) {
     RecordCursor cursor(record);
     auto seq = cursor.NextUint();
@@ -468,7 +536,8 @@ Status DurableStore::Open() {
       continue;
     }
     if (*seq > max_seq) max_seq = *seq;
-    if (ApplyRecord(record).ok()) {
+    size_t weight = 1;
+    if (ApplyRecord(record, &weight).ok()) {
       ++recovery_.wal_records_replayed;
     } else {
       // The original application failed the same way after the record was
@@ -476,6 +545,7 @@ Status DurableStore::Open() {
       ++recovery_.wal_replay_failures;
     }
     live_records.push_back(&record);
+    live_weight += weight;
   }
   next_seq_ = max_seq + 1;
 
@@ -499,7 +569,7 @@ Status DurableStore::Open() {
         return Status::OK();
       },
       retries_));
-  records_since_checkpoint_ = live_records.size();
+  cadence_count_ = live_weight;
   opened_ = true;
   degraded_gauge_->Set(0.0);
 
@@ -583,7 +653,7 @@ Status DurableStore::RebuildWalAndAppend(const std::string& record) {
   return Status::OK();
 }
 
-Status DurableStore::Log(const std::string& body) {
+Status DurableStore::Log(const std::string& body, size_t samples) {
   const std::string record = std::to_string(next_seq_) + " " + body;
   // Attempt 0 is the plain append; every retry rebuilds the WAL epoch
   // (see RebuildWalAndAppend) after backing off. Non-retryable failures
@@ -603,8 +673,9 @@ Status DurableStore::Log(const std::string& body) {
     return s;
   }
   ++next_seq_;
-  ++records_since_checkpoint_;
+  cadence_count_ += samples == 0 ? 1 : samples;
   records_logged_->Increment();
+  samples_logged_->Add(samples);
   return Status::OK();
 }
 
@@ -612,8 +683,14 @@ void DurableStore::MaybeAutoCheckpoint() {
   // Runs with append_mu_ already held by the triggering mutator, so it
   // must use the impl path — Checkpoint() would self-deadlock.
   if (options_.checkpoint_every == 0) return;
-  if (records_since_checkpoint_ < options_.checkpoint_every) return;
+  if (cadence_count_ < options_.checkpoint_every) return;
+  // Keep the part of the batch past the last whole multiple: checkpoints
+  // then fall where the running sample total crosses a multiple of
+  // checkpoint_every, however callers batch (a batch of 75 against a
+  // cadence of 20000 would otherwise drift 25 samples per checkpoint).
+  const size_t remainder = cadence_count_ % options_.checkpoint_every;
   Status s = TimedCheckpoint();
+  if (s.ok()) cadence_count_ = remainder;
   // Non-dense ids defer the checkpoint (expected after removals); real
   // failures surface through background_error().
   if (!s.ok() && s.code() != StatusCode::kFailedPrecondition &&
@@ -622,13 +699,21 @@ void DurableStore::MaybeAutoCheckpoint() {
   }
 }
 
-Status DurableStore::ApplyRecord(const std::string& record) {
+Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
+  *weight = 1;
   RecordCursor cursor(record);
   auto seq = cursor.NextUint();
   if (!seq.ok()) return seq.status();
   auto op = cursor.Next();
   if (!op.ok()) return op.status();
   graph::PropertyGraph* topo = inner_->mutable_topology();
+  if (*op == "AB") {
+    auto batch = cursor.NextSampleBatch();
+    if (!batch.ok()) return batch.status();
+    *weight = std::max<size_t>(batch->size(), 1);
+    // Stops at the first failing sample, exactly like the original call.
+    return inner_->AppendSamples(*batch);
+  }
   if (*op == "AV" || *op == "AE") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
@@ -931,7 +1016,7 @@ Status DurableStore::CheckpointImpl() {
     if (RetryPolicy::IsRetryable(wal_status)) EnterDegraded(wal_status);
     return wal_status;
   }
-  records_since_checkpoint_ = 0;
+  cadence_count_ = 0;
 
   // Full checkpoint + fresh epoch = the durability contract holds again;
   // a degraded store exits here (this is TryExitDegraded's whole body).
@@ -995,29 +1080,32 @@ std::shared_ptr<const query::QueryBackend> DurableStore::BeginSnapshot()
   return inner_->BeginSnapshot();
 }
 
-Status DurableStore::AppendVertexSample(graph::VertexId v,
-                                        const std::string& key, Timestamp t,
-                                        double value) {
+Status DurableStore::AppendSamples(
+    std::span<const query::SampleWrite> samples) {
   MutexLock lock(append_mu_);
   HYGRAPH_RETURN_IF_ERROR(RequireWritable());
-  HYGRAPH_RETURN_IF_ERROR(Log("AV " + std::to_string(v) + " " +
-                              core::EncodeField(key) + " " +
-                              std::to_string(t) + " " + FormatDouble(value)));
-  Status s = inner_->AppendVertexSample(v, key, t, value);
+  if (samples.empty()) return Status::OK();
+  // Log first, then apply: a sample that fails to apply is in the record
+  // too, and replay stops at it again.
+  HYGRAPH_RETURN_IF_ERROR(Log(EncodeSampleBatch(samples), samples.size()));
+  Status s = inner_->AppendSamples(samples);
   MaybeAutoCheckpoint();
   return s;
 }
 
+Status DurableStore::AppendVertexSample(graph::VertexId v,
+                                        const std::string& key, Timestamp t,
+                                        double value) {
+  const query::SampleWrite sample{
+      {query::EntityRef::kVertex, v}, key, t, value};
+  return AppendSamples({&sample, 1});
+}
+
 Status DurableStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
                                       Timestamp t, double value) {
-  MutexLock lock(append_mu_);
-  HYGRAPH_RETURN_IF_ERROR(RequireWritable());
-  HYGRAPH_RETURN_IF_ERROR(Log("AE " + std::to_string(e) + " " +
-                              core::EncodeField(key) + " " +
-                              std::to_string(t) + " " + FormatDouble(value)));
-  Status s = inner_->AppendEdgeSample(e, key, t, value);
-  MaybeAutoCheckpoint();
-  return s;
+  const query::SampleWrite sample{
+      {query::EntityRef::kEdge, e}, key, t, value};
+  return AppendSamples({&sample, 1});
 }
 
 Result<ts::Series> DurableStore::VertexSeriesRange(

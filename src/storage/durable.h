@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,10 +36,16 @@ struct DurableOptions {
   /// bench_recovery for the throughput gap this buys).
   bool sync_wal = true;
 
-  /// Automatically checkpoint after this many logged records (0 = only
-  /// explicit Checkpoint() calls). Auto-checkpoint failures are reported
-  /// through background_error(), not through the triggering mutation,
-  /// whose WAL record is already durable.
+  /// Automatically checkpoint every this many logged SAMPLES, each
+  /// topology record counting as one (0 = only explicit Checkpoint()
+  /// calls). A sample batch is one WAL record but counts every sample it
+  /// carries: a checkpoint follows the batch during which the running
+  /// total since Open() or the last explicit Checkpoint() crosses a
+  /// multiple of checkpoint_every — exactly one, however many multiples
+  /// it crosses — so the cadence does not depend on how callers batch.
+  /// Auto-checkpoint failures are reported through background_error(),
+  /// not through the triggering mutation, whose WAL record is already
+  /// durable.
   size_t checkpoint_every = 0;
 
   /// Backoff schedule for retrying transient WAL-append and checkpoint-
@@ -192,6 +199,12 @@ class DurableStore final : public query::QueryBackend {
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
   /// Pins the wrapped backend's read view; the WAL plays no part in reads.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
+  /// The one logged sample path: one append-mutex hold, one "AB" WAL
+  /// record (one write(2)) for the whole batch, then the samples applied
+  /// in order up to the first failure. Replay applies the same prefix, so
+  /// the recovered state always matches what the caller was told.
+  Status AppendSamples(std::span<const query::SampleWrite> samples) override;
+  /// Batch-of-one wrappers around AppendSamples.
   Status AppendVertexSample(graph::VertexId v, const std::string& key,
                             Timestamp t, double value) override;
   Status AppendEdgeSample(graph::EdgeId e, const std::string& key, Timestamp t,
@@ -240,8 +253,14 @@ class DurableStore final : public query::QueryBackend {
   /// Checkpoint body with latency recording.
   Status TimedCheckpoint() HYGRAPH_REQUIRES(append_mu_);
   Status CheckpointImpl() HYGRAPH_REQUIRES(append_mu_);
-  Status Log(const std::string& body) HYGRAPH_REQUIRES(append_mu_);
-  Status ApplyRecord(const std::string& record);
+  /// Appends one record. `samples` > 0 marks a sample batch carrying that
+  /// many samples; the checkpoint cadence counts each of them (any other
+  /// record counts 1).
+  Status Log(const std::string& body, size_t samples = 0)
+      HYGRAPH_REQUIRES(append_mu_);
+  /// Re-applies one logged record; `*weight` receives what the record
+  /// counts toward the checkpoint cadence (see Log).
+  Status ApplyRecord(const std::string& record, size_t* weight);
   void MaybeAutoCheckpoint() HYGRAPH_REQUIRES(append_mu_);
   std::string WalPath() const { return dir_ + "/wal.log"; }
   std::string SnapshotPath(uint64_t seq) const {
@@ -261,6 +280,7 @@ class DurableStore final : public query::QueryBackend {
   // wal_ so the registry outlives the writer that registers into it.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* records_logged_ = nullptr;
+  obs::Counter* samples_logged_ = nullptr;
   obs::Counter* checkpoints_ = nullptr;
   obs::Histogram* checkpoint_nanos_ = nullptr;
   obs::Counter* retries_ = nullptr;
@@ -290,7 +310,11 @@ class DurableStore final : public query::QueryBackend {
   /// read lock-free afterwards. Same story for recovery_.
   bool opened_ = false;
   uint64_t next_seq_ HYGRAPH_GUARDED_BY(append_mu_) = 1;
-  size_t records_since_checkpoint_ HYGRAPH_GUARDED_BY(append_mu_) = 0;
+  /// Position in the auto-checkpoint cadence, compared against
+  /// DurableOptions::checkpoint_every: samples (plus one per topology
+  /// record) logged since the last checkpoint, less the whole multiples of
+  /// checkpoint_every an auto checkpoint already covered.
+  size_t cadence_count_ HYGRAPH_GUARDED_BY(append_mu_) = 0;
   RecoveryStats recovery_;
   Status background_error_ HYGRAPH_GUARDED_BY(append_mu_);
   /// Atomic so degraded() is readable without the append mutex; flipped

@@ -127,12 +127,22 @@ Result<std::vector<graph::VertexId>> LoadIntoBackend(
     props["y"] = station.y;
     station_ids.push_back(g->AddVertex({"Station"}, std::move(props)));
   }
+  // One AppendSamples call per series: a durable backend logs each series
+  // as a single WAL record.
+  std::vector<query::SampleWrite> batch;
+  const auto append_series = [&](query::EntityRef entity,
+                                 const std::string& key,
+                                 const ts::Series& series) {
+    batch.clear();
+    for (const ts::Sample& s : series.samples()) {
+      batch.push_back({entity, key, s.t, s.value});
+    }
+    return backend->AppendSamples(batch);
+  };
   for (const StationRecord& station : dataset.stations) {
     const graph::VertexId v = station_ids[&station - dataset.stations.data()];
-    for (const ts::Sample& s : station.bikes.samples()) {
-      HYGRAPH_RETURN_IF_ERROR(
-          backend->AppendVertexSample(v, "bikes", s.t, s.value));
-    }
+    HYGRAPH_RETURN_IF_ERROR(
+        append_series({query::EntityRef::kVertex, v}, "bikes", station.bikes));
   }
   for (const TripRecord& trip : dataset.trips) {
     graph::PropertyMap props;
@@ -140,10 +150,8 @@ Result<std::vector<graph::VertexId>> LoadIntoBackend(
     auto e = g->AddEdge(station_ids[trip.src], station_ids[trip.dst], "TRIP",
                         std::move(props));
     if (!e.ok()) return e.status();
-    for (const ts::Sample& s : trip.daily_trips.samples()) {
-      HYGRAPH_RETURN_IF_ERROR(
-          backend->AppendEdgeSample(*e, "trips", s.t, s.value));
-    }
+    HYGRAPH_RETURN_IF_ERROR(append_series({query::EntityRef::kEdge, *e},
+                                          "trips", trip.daily_trips));
   }
   return station_ids;
 }

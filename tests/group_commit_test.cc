@@ -144,6 +144,27 @@ TEST_F(GroupCommitTest, ConcurrentWritersShareSyncsAndSurviveReopen) {
   EXPECT_EQ(*count, double(kWriters) * kAppendsPerWriter);
 }
 
+TEST_F(GroupCommitTest, BatchCommitIsOneWalRecord) {
+  auto store = OpenStore();
+  ASSERT_NE(store, nullptr);
+  auto v = store->AddVertex({"Sensor"}, {});
+  ASSERT_TRUE(v.ok());
+  std::vector<query::SampleWrite> batch;
+  for (int i = 0; i < 40; ++i) {
+    batch.push_back({{query::EntityRef::kVertex, *v},
+                     i % 2 == 0 ? "load" : "temp",
+                     Timestamp{100} * i,
+                     double(i)});
+  }
+  const uint64_t appends_before = WalCounter(*store, "wal.appends");
+  GroupCommitter committer(store.get());
+  ASSERT_TRUE(
+      committer.Commit([&] { return store->AppendSamples(batch); }).ok());
+  EXPECT_EQ(WalCounter(*store, "wal.appends") - appends_before, 1u);
+  EXPECT_EQ(WalCounter(*store, "durable.samples_logged"), batch.size());
+  EXPECT_EQ(committer.batches(), 1u);
+}
+
 TEST_F(GroupCommitTest, FailedAppendDoesNotTicket) {
   auto store = OpenStore();
   ASSERT_NE(store, nullptr);

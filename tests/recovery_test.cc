@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "storage/all_in_graph.h"
 #include "storage/env.h"
@@ -274,6 +278,214 @@ TEST_P(RecoveryTest, RestoreRequiresChecksumTrailer) {
   auto restored = GetParam().make();
   EXPECT_EQ(RestoreFromSnapshotText(truncated, restored.get()).code(),
             StatusCode::kCorruption);
+}
+
+// -- batched sample appends (one "AB" WAL record per AppendSamples call) ----
+
+std::vector<query::SampleWrite> Batch(
+    std::initializer_list<query::SampleWrite> samples) {
+  return std::vector<query::SampleWrite>(samples);
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+uint64_t CounterOf(const DurableStore& store, const std::string& name) {
+  const auto snap = store.metrics()->Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST_P(RecoveryTest, MixedBatchSurvivesReopenBitIdentically) {
+  using query::EntityRef;
+  const double values[] = {-0.0,
+                           0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min() * 3,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           23.4,
+                           1.0 / 3.0,
+                           std::numeric_limits<double>::max(),
+                           -1e-300};
+  constexpr size_t kValues = sizeof(values) / sizeof(values[0]);
+  // Interleaved vertex/edge runs over several keys, so the record holds
+  // more runs than series.
+  std::vector<query::SampleWrite> batch;
+  for (size_t i = 0; i < kValues; ++i) {
+    const Timestamp t = 1000 + static_cast<Timestamp>(i);
+    batch.push_back({{EntityRef::kVertex, 0}, "temp", t, values[i]});
+    batch.push_back({{EntityRef::kEdge, 0}, "load", t, values[i]});
+    batch.push_back({{EntityRef::kVertex, 1}, "odd key", t, values[i]});
+  }
+
+  const auto check = [&](const DurableStore& store) {
+    auto temp = store.VertexSeriesRange(0, "temp", Interval::All());
+    auto load = store.EdgeSeriesRange(0, "load", Interval::All());
+    auto odd = store.VertexSeriesRange(1, "odd key", Interval::All());
+    ASSERT_TRUE(temp.ok() && load.ok() && odd.ok());
+    ASSERT_EQ(temp->size(), kValues);
+    ASSERT_EQ(load->size(), kValues);
+    ASSERT_EQ(odd->size(), kValues);
+    for (size_t i = 0; i < kValues; ++i) {
+      EXPECT_EQ(Bits(temp->samples()[i].value), Bits(values[i])) << i;
+      EXPECT_EQ(Bits(load->samples()[i].value), Bits(values[i])) << i;
+      EXPECT_EQ(Bits(odd->samples()[i].value), Bits(values[i])) << i;
+    }
+  };
+
+  std::string before;
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    auto v0 = store->AddVertex({"Station"}, {});
+    auto v1 = store->AddVertex({"Station"}, {});
+    ASSERT_TRUE(v0.ok() && v1.ok());
+    ASSERT_TRUE(store->AddEdge(*v0, *v1, "route", {}).ok());
+    const uint64_t records = CounterOf(*store, "durable.records_logged");
+    ASSERT_TRUE(store->AppendSamples(batch).ok());
+    EXPECT_EQ(CounterOf(*store, "durable.records_logged"), records + 1);
+    EXPECT_EQ(CounterOf(*store, "durable.samples_logged"), batch.size());
+    check(*store);
+    before = Signature(*store->inner());
+  }
+  {
+    auto store = MakeStore();  // WAL replay
+    ASSERT_TRUE(store->Open().ok());
+    EXPECT_EQ(store->recovery().wal_records_replayed, 4u);
+    check(*store);
+    EXPECT_EQ(Signature(*store->inner()), before);
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  auto store = MakeStore();  // snapshot load
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_TRUE(store->recovery().snapshot_loaded);
+  check(*store);
+  EXPECT_EQ(Signature(*store->inner()), before);
+}
+
+TEST_P(RecoveryTest, BatchStopsAtUnknownIdAndReplaysTheSamePrefix) {
+  using query::EntityRef;
+  std::string before;
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    ASSERT_TRUE(store->AddVertex({"Station"}, {}).ok());
+    const Status s = store->AppendSamples(
+        Batch({{{EntityRef::kVertex, 0}, "temp", 1, 1.0},
+               {{EntityRef::kVertex, 0}, "temp", 2, 2.0},
+               {{EntityRef::kVertex, 99}, "temp", 3, 3.0},
+               {{EntityRef::kVertex, 0}, "temp", 4, 4.0}}));
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
+    auto series = store->VertexSeriesRange(0, "temp", Interval::All());
+    ASSERT_TRUE(series.ok());
+    ASSERT_EQ(series->size(), 2u);
+    EXPECT_EQ(series->samples()[1].t, 2);
+    before = Signature(*store->inner());
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_EQ(store->recovery().wal_replay_failures, 1u);
+  EXPECT_EQ(Signature(*store->inner()), before);
+}
+
+TEST_P(RecoveryTest, TornFinalBatchIsDroppedWhole) {
+  using query::EntityRef;
+  std::string before;
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    ASSERT_TRUE(store->AddVertex({"Station"}, {}).ok());
+    ASSERT_TRUE(
+        store
+            ->AppendSamples(Batch({{{EntityRef::kVertex, 0}, "temp", 1, 1.0},
+                                   {{EntityRef::kVertex, 0}, "temp", 2, 2.0}}))
+            .ok());
+    before = Signature(*store->inner());
+    ASSERT_TRUE(
+        store
+            ->AppendSamples(Batch({{{EntityRef::kVertex, 0}, "temp", 3, 3.0},
+                                   {{EntityRef::kVertex, 0}, "hum", 3, 0.5},
+                                   {{EntityRef::kVertex, 0}, "temp", 4, 4.0}}))
+            .ok());
+  }
+  // Chop into the middle of the final record: the whole batch goes, never
+  // a prefix of it.
+  auto size = env_->GetFileSize(dir_ + "/wal.log");
+  ASSERT_TRUE(size.ok());
+  ASSERT_TRUE(env_->TruncateFile(dir_ + "/wal.log", *size - 12).ok());
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_TRUE(store->recovery().wal_torn_tail);
+  EXPECT_EQ(store->recovery().wal_records_replayed, 2u);
+  EXPECT_TRUE(store->VertexSeriesKeys(0) == std::vector<std::string>{"temp"});
+  EXPECT_EQ(Signature(*store->inner()), before);
+}
+
+TEST_P(RecoveryTest, BatchCrossingCheckpointEveryCheckpointsOnce) {
+  using query::EntityRef;
+  DurableOptions options;
+  options.checkpoint_every = 10;  // samples, not records
+  auto store = MakeStore(options);
+  ASSERT_TRUE(store->Open().ok());
+  ASSERT_TRUE(store->AddVertex({"Station"}, {}).ok());
+  const auto batch_of = [](size_t n, Timestamp first) {
+    std::vector<query::SampleWrite> batch;
+    for (size_t i = 0; i < n; ++i) {
+      batch.push_back({{EntityRef::kVertex, 0}, "temp",
+                       first + static_cast<Timestamp>(i), 1.0});
+    }
+    return batch;
+  };
+  ASSERT_TRUE(store->AppendSamples(batch_of(4, 0)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 0u);
+  // 1 + 4 + 25 crosses 10 (and 20, and 30) once: one checkpoint.
+  ASSERT_TRUE(store->AppendSamples(batch_of(25, 100)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 1u);
+  EXPECT_TRUE(store->background_error().ok());
+  // 30 is a whole multiple, so the cadence restarts from zero...
+  ASSERT_TRUE(store->AppendSamples(batch_of(9, 200)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 1u);
+  ASSERT_TRUE(store->AppendSamples(batch_of(1, 300)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 2u);
+  // ...while a batch overshooting a multiple keeps its remainder (3), so
+  // the next checkpoint still falls at the next multiple of 10.
+  ASSERT_TRUE(store->AppendSamples(batch_of(13, 400)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 3u);
+  ASSERT_TRUE(store->AppendSamples(batch_of(6, 500)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 3u);
+  ASSERT_TRUE(store->AppendSamples(batch_of(1, 600)).ok());
+  EXPECT_EQ(CounterOf(*store, "durable.checkpoints"), 4u);
+}
+
+TEST_P(RecoveryTest, PerSampleRecordsFromEarlierBuildsStillReplay) {
+  // Logs written before sample batching hold one "AV"/"AE" record per
+  // sample, with doubles in 17-significant-digit form.
+  ASSERT_TRUE(env_->CreateDirIfMissing(dir_).ok());
+  {
+    auto wal = WalWriter::Create(env_, dir_ + "/wal.log");
+    ASSERT_TRUE(wal.ok());
+    for (const char* record :
+         {"1 NV 0 L 0 P 0", "2 NV 1 L 0 P 0", "3 NE 0 0 1 route P 0",
+          "4 AV 0 temp 100 23.399999999999999", "5 AE 0 load 100 0.5"}) {
+      ASSERT_TRUE((*wal)->Append(record, /*sync=*/true).ok());
+    }
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_EQ(store->recovery().wal_records_replayed, 5u);
+  auto temp = store->VertexSeriesRange(0, "temp", Interval::All());
+  auto load = store->EdgeSeriesRange(0, "load", Interval::All());
+  ASSERT_TRUE(temp.ok() && load.ok());
+  ASSERT_EQ(temp->size(), 1u);
+  EXPECT_EQ(temp->samples()[0].value, 23.4);
+  ASSERT_EQ(load->size(), 1u);
+  EXPECT_EQ(load->samples()[0].value, 0.5);
 }
 
 TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {

@@ -71,6 +71,11 @@ class ServerTest : public ::testing::Test {
     const auto it = snap.counters.find(name);
     return it == snap.counters.end() ? 0 : it->second;
   }
+  static double Gauge(const obs::MetricsSnapshot& snap,
+                      const std::string& name) {
+    const auto it = snap.gauges.find(name);
+    return it == snap.gauges.end() ? 0.0 : it->second;
+  }
 
   std::string dir_;
   /// Slow fsyncs make the group-commit assertions deterministic: while one
@@ -294,13 +299,22 @@ TEST_F(ServerTest, AdmissionControlShedsBeyondMaxInflight) {
     client->Close();
   });
 
+  // The probe must not start before the spin holds the slot, or its own
+  // query could take the slot first and get the spin shed instead. Wait on
+  // the in-flight gauge, not on a sleep.
+  const obs::Clock* clock = obs::SystemClock::Instance();
+  const uint64_t deadline = clock->NowNanos() + 5'000'000'000ull;
+  while (Gauge(server->MergedMetrics(), "server.requests_inflight") != 1.0 &&
+         clock->NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Gauge(server->MergedMetrics(), "server.requests_inflight"), 1.0);
+
   // ...while a second connection retries until it observes a shed.
   bool shed_seen = false;
   {
     auto client = Connect(*server);
     ASSERT_TRUE(client.ok());
-    const obs::Clock* clock = obs::SystemClock::Instance();
-    const uint64_t deadline = clock->NowNanos() + 5'000'000'000ull;
     while (clock->NowNanos() < deadline) {
       auto result = client->Query("MATCH (s:Station) RETURN s.city AS c");
       if (!result.ok() && result.status().IsResourceExhausted()) {
@@ -488,6 +502,54 @@ TEST_F(ServerTest, ConcurrentWireAppendsGroupCommit) {
   auto n = result->rows[0][0].ToDouble();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, double(kWriters) * kBatchesPerWriter);
+  client->Close();
+}
+
+TEST_F(ServerTest, AppendFrameIsOneWalRecordAppliedUpToFirstFailure) {
+  auto edge = store_->AddEdge(vertex_, vertex_ + 1, "route", {});
+  ASSERT_TRUE(edge.ok());
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  auto client = Connect(*server);
+  ASSERT_TRUE(client.ok());
+  const auto sample = [](uint8_t kind, uint64_t id, const std::string& key,
+                         Timestamp t) {
+    SampleUpdate s;
+    s.kind = kind;
+    s.id = id;
+    s.key = key;
+    s.timestamp = t;
+    s.value = 1.5;
+    return s;
+  };
+
+  // A mixed vertex/edge frame: one WAL record for all of it.
+  uint64_t appends = Counter(server->MergedMetrics(), "wal.appends");
+  ASSERT_TRUE(client
+                  ->Append({sample(SampleUpdate::kVertex, vertex_, "mix", 1),
+                            sample(SampleUpdate::kEdge, *edge, "mix", 1),
+                            sample(SampleUpdate::kVertex, vertex_, "mix", 2)})
+                  .ok());
+  EXPECT_EQ(Counter(server->MergedMetrics(), "wal.appends"), appends + 1);
+  auto vseries = store_->VertexSeriesRange(vertex_, "mix", Interval::All());
+  auto eseries = store_->EdgeSeriesRange(*edge, "mix", Interval::All());
+  ASSERT_TRUE(vseries.ok() && eseries.ok());
+  EXPECT_EQ(vseries->size(), 2u);
+  EXPECT_EQ(eseries->size(), 1u);
+
+  // An unknown id mid-frame fails the frame; the samples before it stay
+  // applied, the ones after it are never attempted. Still one record.
+  appends = Counter(server->MergedMetrics(), "wal.appends");
+  const Status status =
+      client->Append({sample(SampleUpdate::kVertex, vertex_, "tail", 1),
+                      sample(SampleUpdate::kVertex, 999, "tail", 2),
+                      sample(SampleUpdate::kVertex, vertex_, "tail", 3)});
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(Counter(server->MergedMetrics(), "wal.appends"), appends + 1);
+  auto tail = store_->VertexSeriesRange(vertex_, "tail", Interval::All());
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail->size(), 1u);
+  EXPECT_EQ(tail->samples()[0].t, 1);
   client->Close();
 }
 
