@@ -47,20 +47,20 @@ int main() {
     const double red_ms = bench::TimeMs([&] {
       for (size_t s = 0; s < kStations; ++s) {
         for (size_t i = 0; i < batch; ++i) {
-          (void)red.AppendVertexSample(
-              red_ids[s], "bikes",
-              static_cast<Timestamp>(begin + i) * kStep,
-              std::sin(static_cast<double>(begin + i) * 0.01));
+          (void)red.AppendSample(
+              {query::EntityRef::Vertex(red_ids[s]), "bikes",
+               static_cast<Timestamp>(begin + i) * kStep,
+               std::sin(static_cast<double>(begin + i) * 0.01)});
         }
       }
     });
     const double green_ms = bench::TimeMs([&] {
       for (size_t s = 0; s < kStations; ++s) {
         for (size_t i = 0; i < batch; ++i) {
-          (void)green.AppendVertexSample(
-              green_ids[s], "bikes",
-              static_cast<Timestamp>(begin + i) * kStep,
-              std::sin(static_cast<double>(begin + i) * 0.01));
+          (void)green.AppendSample(
+              {query::EntityRef::Vertex(green_ids[s]), "bikes",
+               static_cast<Timestamp>(begin + i) * kStep,
+               std::sin(static_cast<double>(begin + i) * 0.01)});
         }
       }
     });

@@ -69,8 +69,8 @@ void ThreadPool::EnsureWorkersLocked() {
   }
 }
 
-size_t ThreadPool::DrainJob(Job& job) {
-  size_t mine = 0;
+void ThreadPool::DrainJob(Job& job, const obs::Clock* helper_clock) {
+  uint64_t mark = helper_clock != nullptr ? helper_clock->NowNanos() : 0;
   for (;;) {
     const size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= job.n) break;
@@ -83,10 +83,18 @@ size_t ThreadPool::DrainJob(Job& job) {
         job.error = std::move(s);
       }
     }
-    ++mine;
+    if (helper_clock != nullptr) {
+      const uint64_t now = helper_clock->NowNanos();
+      if (job.stats.morsels_stolen != nullptr) {
+        job.stats.morsels_stolen->Increment();
+      }
+      if (job.stats.worker_busy_nanos != nullptr) {
+        job.stats.worker_busy_nanos->Add(now - mark);
+      }
+      mark = now;
+    }
     job.retired.fetch_add(1, std::memory_order_release);
   }
-  return mine;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -116,17 +124,7 @@ void ThreadPool::WorkerLoop() {
       }
       if (job == nullptr) return;  // stop_ set with nothing to drain
     }
-    const uint64_t start = clock->NowNanos();
-    const size_t ran = DrainJob(*job);
-    if (ran > 0) {
-      const uint64_t busy = clock->NowNanos() - start;
-      if (job->stats.morsels_stolen != nullptr) {
-        job->stats.morsels_stolen->Add(ran);
-      }
-      if (job->stats.worker_busy_nanos != nullptr) {
-        job->stats.worker_busy_nanos->Add(busy);
-      }
-    }
+    DrainJob(*job, clock);
     if (job->retired.load(std::memory_order_acquire) >= job->n) {
       // Last retiree wakes the publishing caller; taking the queue mutex
       // first makes the wakeup race-free against the caller's wait check.
@@ -169,7 +167,7 @@ Status ThreadPool::ParallelFor(size_t morsels, size_t max_parallelism,
   cv_.notify_all();
   parallel_jobs_.fetch_add(1, std::memory_order_relaxed);
 
-  DrainJob(*job);  // the caller participates
+  DrainJob(*job, nullptr);  // the caller participates
 
   {
     MutexLock lock(mu_);

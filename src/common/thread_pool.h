@@ -109,9 +109,12 @@ class ThreadPool {
 
   void EnsureWorkersLocked() HYGRAPH_REQUIRES(mu_);
   void WorkerLoop();
-  /// Claims and runs morsels of `job` until it is exhausted or failed;
-  /// returns how many morsels this thread retired.
-  size_t DrainJob(Job& job);
+  /// Claims and runs morsels of `job` until it is exhausted or failed. A
+  /// helper (worker thread) passes its clock and records each morsel in
+  /// the job's stolen/busy counters BEFORE retiring it: once the last
+  /// morsel retires, ParallelFor may return and the registry holding
+  /// those counters may be destroyed. The publishing caller passes null.
+  void DrainJob(Job& job, const obs::Clock* helper_clock);
 
   mutable Mutex mu_{LockRank::kThreadPool};
   std::condition_variable_any cv_;           // workers: "a job is available"

@@ -1,6 +1,7 @@
 #ifndef HYGRAPH_QUERY_BACKEND_H_
 #define HYGRAPH_QUERY_BACKEND_H_
 
+#include <compare>
 #include <functional>
 #include <memory>
 #include <span>
@@ -49,18 +50,6 @@ struct BackendWork {
   }
 };
 
-/// The canonical hypertable series name for (entity, key): "v12.temp" for
-/// vertex 12's "temp", "e3.load" for edge 3's. This is the contract between
-/// the polyglot backend (which names series this way) and the cold-tier
-/// catalog (which persists series by name and must map them back to
-/// entities on recovery).
-std::string SeriesSlotName(bool vertex, uint64_t entity,
-                           const std::string& key);
-/// Inverse of SeriesSlotName. False when `name` is not of that shape (the
-/// key may itself contain dots; the split is at the FIRST dot).
-bool ParseSeriesSlotName(const std::string& name, bool* vertex,
-                         uint64_t* entity, std::string* key);
-
 /// A vertex or an edge: one keyspace for both, with the kind as part of the
 /// key rather than a second set of methods.
 struct EntityRef {
@@ -68,8 +57,23 @@ struct EntityRef {
   Kind kind = kVertex;
   uint64_t id = 0;
 
-  bool operator==(const EntityRef&) const = default;
+  static EntityRef Vertex(uint64_t id) { return {kVertex, id}; }
+  static EntityRef Edge(uint64_t id) { return {kEdge, id}; }
+  bool is_edge() const { return kind == kEdge; }
+
+  auto operator<=>(const EntityRef&) const = default;
 };
+
+/// The canonical hypertable series name for (entity, key): "v12.temp" for
+/// vertex 12's "temp", "e3.load" for edge 3's. This is the contract between
+/// the polyglot backend (which names series this way) and the cold-tier
+/// catalog (which persists series by name and must map them back to
+/// entities on recovery).
+std::string SeriesSlotName(EntityRef entity, const std::string& key);
+/// Inverse of SeriesSlotName. False when `name` is not of that shape (the
+/// key may itself contain dots; the split is at the FIRST dot).
+bool ParseSeriesSlotName(const std::string& name, EntityRef* entity,
+                         std::string* key);
 
 /// One sample bound for the series stored under (entity, key).
 struct SampleWrite {
@@ -89,9 +93,11 @@ struct SampleWrite {
 ///
 /// The interface is deliberately narrow: topology for structural matching,
 /// plus range-scan and range-aggregate on a named series of a vertex or
-/// edge. The executor never sees which architecture it runs on — that is
-/// the paper's "users interact with hybrid data as if stored in a single
-/// system".
+/// edge. Vertices and edges carry series the same way, so every series
+/// method takes the entity as one EntityRef key instead of coming in a
+/// vertex and an edge flavour. The executor never sees which architecture
+/// it runs on — that is the paper's "users interact with hybrid data as if
+/// stored in a single system".
 class QueryBackend {
  public:
   virtual ~QueryBackend();
@@ -120,24 +126,20 @@ class QueryBackend {
   // -- ingestion --------------------------------------------------------------
 
   /// Mutable access to the structural graph for loading vertices, edges,
-  /// labels, and static properties. Series samples must go through the
-  /// Append*Sample methods so each engine stores them its own way.
+  /// labels, and static properties. Series samples must go through
+  /// AppendSamples so each engine stores them its own way.
   virtual graph::PropertyGraph* mutable_topology() = 0;
 
-  /// Appends one sample to the series stored under (vertex, key).
-  /// Creates the series on first use.
-  virtual Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                                    Timestamp t, double value) = 0;
-  /// Appends one sample to the series stored under (edge, key).
-  virtual Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                  Timestamp t, double value) = 0;
-
-  /// Appends a batch of samples in order and stops at the first one that
-  /// fails, returning its status: the samples before it stay applied, the
-  /// ones after it are not attempted. Creates series on first use. The
-  /// default loops over Append{Vertex,Edge}Sample; DurableStore overrides
-  /// it to log the whole batch as one WAL record.
-  virtual Status AppendSamples(std::span<const SampleWrite> samples);
+  /// The one sample-write path. Appends a batch of samples in order and
+  /// stops at the first one that fails, returning its status: the samples
+  /// before it stay applied, the ones after it are not attempted. Creates
+  /// series on first use. DurableStore logs the whole batch as one WAL
+  /// record.
+  virtual Status AppendSamples(std::span<const SampleWrite> samples) = 0;
+  /// A batch of one.
+  Status AppendSample(const SampleWrite& sample) {
+    return AppendSamples({&sample, 1});
+  }
 
   /// Runs `fn` on the mutable topology under the backend's write guard,
   /// performing any copy-on-write detach first so pinned snapshots keep
@@ -163,11 +165,10 @@ class QueryBackend {
 
   // -- introspection (durability / snapshotting) ----------------------------
 
-  /// The series keys stored on a vertex / edge, sorted. Backends must
-  /// implement these so a snapshotter can enumerate state it would
-  /// otherwise not know exists; the defaults return nothing.
-  virtual std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const;
-  virtual std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const;
+  /// The series keys stored on an entity, sorted. Backends must implement
+  /// this so a snapshotter can enumerate state it would otherwise not know
+  /// exists; the default returns nothing.
+  virtual std::vector<std::string> SeriesKeys(EntityRef entity) const;
 
   /// True when series samples physically live inside the topology's
   /// property maps (the all-in-graph layout): persisting the topology then
@@ -185,71 +186,77 @@ class QueryBackend {
   /// returning its hypertable id. Recovery uses this to re-bind catalogued
   /// cold chunks to their (entity, key) before WAL replay. Unimplemented
   /// by default — only meaningful for backends with a series_hypertable().
-  virtual Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
+  virtual Result<SeriesId> EnsureSeries(EntityRef entity,
                                         const std::string& key);
 
   // -- series access ------------------------------------------------------------
 
-  /// Materializes the samples of (vertex, key) inside `interval`.
-  virtual Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const = 0;
-  virtual Result<ts::Series> EdgeSeriesRange(
-      graph::EdgeId e, const std::string& key,
-      const Interval& interval) const = 0;
+  /// Materializes the samples of (entity, key) inside `interval`.
+  virtual Result<ts::Series> SeriesRange(EntityRef entity,
+                                         const std::string& key,
+                                         const Interval& interval) const = 0;
 
-  /// Range aggregate over (vertex, key). The default implementation
+  /// Range aggregate over (entity, key). The default implementation
   /// materializes the range and folds it; engines with native aggregation
   /// (the hypertable) override this.
-  virtual Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                               const std::string& key,
-                                               const Interval& interval,
-                                               ts::AggKind kind) const;
-  virtual Result<double> EdgeSeriesAggregate(graph::EdgeId e,
-                                             const std::string& key,
-                                             const Interval& interval,
-                                             ts::AggKind kind) const;
+  virtual Result<double> SeriesAggregate(EntityRef entity,
+                                         const std::string& key,
+                                         const Interval& interval,
+                                         ts::AggKind kind) const;
 
-  /// Batch range aggregate: one result per entity, all over the same
-  /// (key, interval, kind). Multi-entity HGQL aggregate queries funnel
-  /// through here so engines can fan the batch out across a worker pool
-  /// (the hypertable runs one morsel per series). Per-entity failures are
-  /// reported in that entity's slot; the call itself only fails on
-  /// batch-wide conditions (cancellation, deadline, budget). The default
-  /// loops over the single-entity virtuals.
-  virtual std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const;
-  virtual std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const;
+  /// Batch range aggregate: one result per entity of kind `entity_kind`,
+  /// all over the same (key, interval, kind). Multi-entity HGQL aggregate
+  /// queries funnel through here so engines can fan the batch out across a
+  /// worker pool (the hypertable runs one morsel per series). Per-entity
+  /// failures are reported in that entity's slot; the call itself only
+  /// fails on batch-wide conditions (cancellation, deadline, budget). The
+  /// default loops over SeriesAggregate.
+  virtual std::vector<Result<double>> SeriesAggregateBatch(
+      EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key, const Interval& interval,
+      ts::AggKind kind) const;
 
-  /// Tumbling-window aggregate series over (vertex, key): one sample per
+  /// Tumbling-window aggregate series over (entity, key): one sample per
   /// non-empty window of `width` ms. Default materializes then windows;
   /// the hypertable overrides with its native single-pass time_bucket.
-  virtual Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const;
-  virtual Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const;
+  virtual Result<ts::Series> SeriesWindowAggregate(EntityRef entity,
+                                                   const std::string& key,
+                                                   const Interval& interval,
+                                                   Duration width,
+                                                   ts::AggKind kind) const;
 
-  /// Number of samples of (vertex, key) inside `interval` whose value lies
+  /// Number of samples of (entity, key) inside `interval` whose value lies
   /// in [min_value, max_value] — the pushed-down series-predicate primitive
   /// behind HGQL's ts_count_between (the Q8 query shape). The default
   /// materializes the range and counts; the hypertable overrides with
   /// zone-map-assisted counting that can skip or count whole compressed
   /// chunks without decoding them.
-  virtual Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                                  const std::string& key,
-                                                  const Interval& interval,
-                                                  double min_value,
-                                                  double max_value) const;
-  virtual Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                                const std::string& key,
-                                                const Interval& interval,
-                                                double min_value,
-                                                double max_value) const;
+  virtual Result<size_t> SeriesCountInRange(EntityRef entity,
+                                            const std::string& key,
+                                            const Interval& interval,
+                                            double min_value,
+                                            double max_value) const;
+
+  // Vertex shorthands kept for the served-workload benchmark (hgbench/),
+  // whose sources are frozen with its recorded results. New code calls the
+  // EntityRef methods above.
+  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
+                                       const std::string& key,
+                                       const Interval& interval) const {
+    return SeriesRange(EntityRef::Vertex(v), key, interval);
+  }
+  std::vector<Result<double>> VertexSeriesAggregateBatch(
+      const std::vector<graph::VertexId>& vertices, const std::string& key,
+      const Interval& interval, ts::AggKind kind) const {
+    return SeriesAggregateBatch(EntityRef::kVertex, vertices, key, interval,
+                                kind);
+  }
+  Result<ts::Series> VertexSeriesWindowAggregate(
+      graph::VertexId v, const std::string& key, const Interval& interval,
+      Duration width, ts::AggKind kind) const {
+    return SeriesWindowAggregate(EntityRef::Vertex(v), key, interval, width,
+                                 kind);
+  }
 };
 
 }  // namespace hygraph::query

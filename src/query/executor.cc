@@ -197,12 +197,12 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
         const auto edge_var = plan.edge_vars.find(site.var);
         for (const graph::PatternMatch& match : *matches) {
           if (edge_var != plan.edge_vars.end()) {
-            entities.push_back(Binding{true, match.edges[edge_var->second]});
+            entities.push_back(EntityRef::Edge(match.edges[edge_var->second]));
             continue;
           }
           const auto vertex = match.vertices.find(site.var);
           if (vertex != match.vertices.end()) {
-            entities.push_back(Binding{false, vertex->second});
+            entities.push_back(EntityRef::Vertex(vertex->second));
           }
         }
         evaluator.PrefetchAggregates(entities, site.key, site.interval,
@@ -243,10 +243,10 @@ Result<QueryResult> RunPlanImpl(const QueryBackend& backend, const Plan& plan,
       }
       Bindings bindings;
       for (const auto& [var, vertex] : match.vertices) {
-        bindings[var] = Binding{false, vertex};
+        bindings[var] = EntityRef::Vertex(vertex);
       }
       for (const auto& [var, edge_idx] : plan.edge_vars) {
-        bindings[var] = Binding{true, match.edges[edge_idx]};
+        bindings[var] = EntityRef::Edge(match.edges[edge_idx]);
       }
       if (plan.residual_where) {
         obs::ScopedSpan where_span(tracer, "where");

@@ -111,7 +111,7 @@ Result<Value> Evaluator::Eval(
       }
       const auto& topo = backend_->topology();
       Result<Value> value =
-          bound->second.is_edge
+          bound->second.is_edge()
               ? topo.GetEdgeProperty(bound->second.id, expr.key)
               : topo.GetVertexProperty(bound->second.id, expr.key);
       if (!value.ok()) return Value();  // missing property -> null
@@ -189,9 +189,8 @@ Result<bool> Evaluator::EvalPredicate(const Expr& expr,
   return Truthy(*value);
 }
 
-Result<ts::Series> Evaluator::SeriesRangeArg(const Expr& prop_ref,
-                                             const Bindings& bindings,
-                                             const Interval& interval) const {
+Result<EntityRef> Evaluator::SeriesOwner(const Expr& prop_ref,
+                                         const Bindings& bindings) const {
   if (prop_ref.kind != Expr::Kind::kPropertyRef) {
     return Status::InvalidArgument(
         "ts_* functions take a property reference (var.key) as the series "
@@ -201,19 +200,23 @@ Result<ts::Series> Evaluator::SeriesRangeArg(const Expr& prop_ref,
   if (bound == bindings.end()) {
     return Status::InvalidArgument("unbound variable '" + prop_ref.var + "'");
   }
-  const RangeKey cache_key{bound->second.is_edge, bound->second.id,
-                           prop_ref.key, interval.start, interval.end};
+  return bound->second;
+}
+
+Result<ts::Series> Evaluator::SeriesRangeArg(const Expr& prop_ref,
+                                             const Bindings& bindings,
+                                             const Interval& interval) const {
+  auto entity = SeriesOwner(prop_ref, bindings);
+  if (!entity.ok()) return entity.status();
+  const RangeKey cache_key{*entity, prop_ref.key, interval.start,
+                           interval.end};
   auto hit = range_cache_.find(cache_key);
   if (hit != range_cache_.end()) {
     ++memo_stats_.hits;
     return hit->second;
   }
   ++memo_stats_.misses;
-  auto series =
-      bound->second.is_edge
-          ? backend_->EdgeSeriesRange(bound->second.id, prop_ref.key, interval)
-          : backend_->VertexSeriesRange(bound->second.id, prop_ref.key,
-                                        interval);
+  auto series = backend_->SeriesRange(*entity, prop_ref.key, interval);
   if (!series.ok()) return series;
   constexpr size_t kRangeCacheCap = 64;
   if (range_cache_.size() >= kRangeCacheCap) range_cache_.clear();
@@ -225,18 +228,10 @@ Result<double> Evaluator::SeriesAggregateArg(const Expr& prop_ref,
                                              const Bindings& bindings,
                                              const Interval& interval,
                                              ts::AggKind kind) const {
-  if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-    return Status::InvalidArgument(
-        "ts_* functions take a property reference (var.key) as the series "
-        "argument");
-  }
-  auto bound = bindings.find(prop_ref.var);
-  if (bound == bindings.end()) {
-    return Status::InvalidArgument("unbound variable '" + prop_ref.var + "'");
-  }
-  const AggKey cache_key{bound->second.is_edge, bound->second.id,
-                         prop_ref.key,          interval.start,
-                         interval.end,          static_cast<int>(kind)};
+  auto entity = SeriesOwner(prop_ref, bindings);
+  if (!entity.ok()) return entity.status();
+  const AggKey cache_key{*entity, prop_ref.key, interval.start, interval.end,
+                         static_cast<int>(kind)};
   auto hit = agg_cache_.find(cache_key);
   if (hit != agg_cache_.end()) {
     ++memo_stats_.hits;
@@ -244,11 +239,7 @@ Result<double> Evaluator::SeriesAggregateArg(const Expr& prop_ref,
   }
   ++memo_stats_.misses;
   auto result =
-      bound->second.is_edge
-          ? backend_->EdgeSeriesAggregate(bound->second.id, prop_ref.key,
-                                          interval, kind)
-          : backend_->VertexSeriesAggregate(bound->second.id, prop_ref.key,
-                                            interval, kind);
+      backend_->SeriesAggregate(*entity, prop_ref.key, interval, kind);
   // A prefetched batch holds one entry per matched entity, so the cap is
   // sized for multi-entity scans rather than the range memo's 64.
   constexpr size_t kAggCacheCap = 4096;
@@ -261,31 +252,29 @@ void Evaluator::PrefetchAggregates(const std::vector<Binding>& entities,
                                    const std::string& key,
                                    const Interval& interval,
                                    ts::AggKind kind) const {
-  std::vector<uint64_t> vertices;
-  std::vector<uint64_t> edges;
+  // One backend batch per entity kind: ids[EntityRef::kVertex] and
+  // ids[EntityRef::kEdge].
+  std::vector<uint64_t> ids[2];
   for (const Binding& b : entities) {
-    const AggKey cache_key{b.is_edge,     b.id,         key,
-                           interval.start, interval.end, static_cast<int>(kind)};
+    const AggKey cache_key{b, key, interval.start, interval.end,
+                           static_cast<int>(kind)};
     if (agg_cache_.find(cache_key) != agg_cache_.end()) continue;
-    (b.is_edge ? edges : vertices).push_back(b.id);
+    ids[b.kind].push_back(b.id);
   }
-  auto seed = [&](bool is_edge, std::vector<uint64_t>* ids) {
-    std::sort(ids->begin(), ids->end());
-    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
-    if (ids->empty()) return;
-    auto results = is_edge
-                       ? backend_->EdgeSeriesAggregateBatch(*ids, key,
-                                                            interval, kind)
-                       : backend_->VertexSeriesAggregateBatch(*ids, key,
-                                                              interval, kind);
-    for (size_t i = 0; i < ids->size() && i < results.size(); ++i) {
-      agg_cache_.emplace(AggKey{is_edge, (*ids)[i], key, interval.start,
+  for (const EntityRef::Kind entity_kind :
+       {EntityRef::kVertex, EntityRef::kEdge}) {
+    std::vector<uint64_t>& batch = ids[entity_kind];
+    std::sort(batch.begin(), batch.end());
+    batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
+    if (batch.empty()) continue;
+    auto results =
+        backend_->SeriesAggregateBatch(entity_kind, batch, key, interval, kind);
+    for (size_t i = 0; i < batch.size() && i < results.size(); ++i) {
+      agg_cache_.emplace(AggKey{{entity_kind, batch[i]}, key, interval.start,
                                 interval.end, static_cast<int>(kind)},
                          std::move(results[i]));
     }
-  };
-  seed(false, &vertices);
-  seed(true, &edges);
+  }
 }
 
 void CollectAggregateCallSites(const Expr& expr,
@@ -373,22 +362,10 @@ Result<Value> Evaluator::EvalCall(
     if (!lod.ok()) return lod.status();
     auto hid = hi->ToDouble();
     if (!hid.ok()) return hid.status();
-    const Expr& prop_ref = *expr.args[0];
-    if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-      return Status::InvalidArgument(
-          "ts_count_between takes a property reference (var.key) as the "
-          "series argument");
-    }
-    auto bound = bindings.find(prop_ref.var);
-    if (bound == bindings.end()) {
-      return Status::InvalidArgument("unbound variable '" + prop_ref.var +
-                                     "'");
-    }
-    auto n = bound->second.is_edge
-                 ? backend_->EdgeSeriesCountInRange(
-                       bound->second.id, prop_ref.key, *interval, *lod, *hid)
-                 : backend_->VertexSeriesCountInRange(
-                       bound->second.id, prop_ref.key, *interval, *lod, *hid);
+    auto entity = SeriesOwner(*expr.args[0], bindings);
+    if (!entity.ok()) return entity.status();
+    auto n = backend_->SeriesCountInRange(*entity, expr.args[0]->key,
+                                          *interval, *lod, *hid);
     if (!n.ok()) {
       // Missing series counts like an empty one, matching ts_count.
       if (n.status().code() == StatusCode::kNotFound) return Value(int64_t{0});
@@ -419,25 +396,11 @@ Result<Value> Evaluator::EvalCall(
     if (!outer_kind.ok()) return outer_kind.status();
     // Windowing goes through the backend so engines with native
     // time_bucket support (the hypertable) skip materialization.
-    const Expr& prop_ref = *expr.args[0];
-    if (prop_ref.kind != Expr::Kind::kPropertyRef) {
-      return Status::InvalidArgument(
-          "ts_window_agg takes a property reference (var.key) as the "
-          "series argument");
-    }
-    auto bound = bindings.find(prop_ref.var);
-    if (bound == bindings.end()) {
-      return Status::InvalidArgument("unbound variable '" + prop_ref.var +
-                                     "'");
-    }
-    auto windowed =
-        bound->second.is_edge
-            ? backend_->EdgeSeriesWindowAggregate(
-                  bound->second.id, prop_ref.key, *interval,
-                  static_cast<Duration>(*wd), *inner_kind)
-            : backend_->VertexSeriesWindowAggregate(
-                  bound->second.id, prop_ref.key, *interval,
-                  static_cast<Duration>(*wd), *inner_kind);
+    auto entity = SeriesOwner(*expr.args[0], bindings);
+    if (!entity.ok()) return entity.status();
+    auto windowed = backend_->SeriesWindowAggregate(
+        *entity, expr.args[0]->key, *interval, static_cast<Duration>(*wd),
+        *inner_kind);
     if (!windowed.ok()) return windowed.status();
     auto reduced = ts::Aggregate(*windowed, Interval::All(), *outer_kind);
     if (!reduced.ok()) return Value();
@@ -503,7 +466,7 @@ Result<Value> Evaluator::EvalCall(
       return Status::InvalidArgument(name + " expects a vertex variable");
     }
     auto bound = bindings.find(arg.var);
-    if (bound == bindings.end() || bound->second.is_edge) {
+    if (bound == bindings.end() || bound->second.is_edge()) {
       return Status::InvalidArgument(name + " expects a bound vertex variable");
     }
     const auto& topo = backend_->topology();

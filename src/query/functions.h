@@ -14,11 +14,9 @@
 
 namespace hygraph::query {
 
-/// What a pattern variable is bound to during evaluation of one row.
-struct Binding {
-  bool is_edge = false;
-  uint64_t id = 0;  ///< VertexId or EdgeId
-};
+/// What a pattern variable is bound to during evaluation of one row: the
+/// same entity key every series read of the backend takes.
+using Binding = EntityRef;
 using Bindings = std::map<std::string, Binding>;
 
 /// Evaluates HGQL expressions against a QueryBackend and one row's
@@ -84,6 +82,9 @@ class Evaluator {
  private:
   Result<Value> EvalCall(const Expr& expr, const Bindings& bindings,
                          const std::map<std::string, Value>* aliases) const;
+  /// The bound entity whose series a ts_* argument (var.key) names.
+  Result<EntityRef> SeriesOwner(const Expr& prop_ref,
+                                const Bindings& bindings) const;
   Result<double> SeriesAggregateArg(const Expr& prop_ref,
                                     const Bindings& bindings,
                                     const Interval& interval,
@@ -94,22 +95,21 @@ class Evaluator {
 
   const QueryBackend* backend_;
 
-  /// Memo for SeriesRangeArg, keyed (is_edge, id, key, start, end). An
+  /// Memo for SeriesRangeArg, keyed (entity, key, start, end). An
   /// Evaluator lives for one ExecutePlan, where repeated ts_* calls on the
   /// same (entity, key, range) are common — e.g. a correlation query pins
   /// one entity and re-reads its range on every row. Bounded: overflow
   /// clears the whole cache rather than evicting.
-  using RangeKey =
-      std::tuple<bool, uint64_t, std::string, Timestamp, Timestamp>;
+  using RangeKey = std::tuple<EntityRef, std::string, Timestamp, Timestamp>;
   mutable std::map<RangeKey, ts::Series> range_cache_;
 
-  /// Memo for SeriesAggregateArg, keyed (is_edge, id, key, start, end,
-  /// kind). Seeded in bulk by PrefetchAggregates; also fills lazily so a
-  /// repeated per-row aggregate (same entity pinned across rows) is
-  /// computed once. Larger cap than the range memo — a prefetched batch
-  /// holds one entry per matched entity.
+  /// Memo for SeriesAggregateArg, keyed (entity, key, start, end, kind).
+  /// Seeded in bulk by PrefetchAggregates; also fills lazily so a repeated
+  /// per-row aggregate (same entity pinned across rows) is computed once.
+  /// Larger cap than the range memo — a prefetched batch holds one entry
+  /// per matched entity.
   using AggKey =
-      std::tuple<bool, uint64_t, std::string, Timestamp, Timestamp, int>;
+      std::tuple<EntityRef, std::string, Timestamp, Timestamp, int>;
   mutable std::map<AggKey, Result<double>> agg_cache_;
   mutable MemoStats memo_stats_;
 };

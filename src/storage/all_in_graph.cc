@@ -77,22 +77,41 @@ std::vector<std::string> ScanSeriesKeys(const graph::PropertyMap& props) {
   return std::vector<std::string>(keys.begin(), keys.end());
 }
 
-std::vector<std::string> SeriesKeysOfVertex(const graph::PropertyGraph& g,
-                                            graph::VertexId v) {
-  auto vertex = g.GetVertex(v);
-  if (!vertex.ok()) return {};
-  return ScanSeriesKeys((*vertex)->properties);
+Result<const graph::PropertyMap*> PropertiesOf(const graph::PropertyGraph& g,
+                                               query::EntityRef entity) {
+  if (entity.is_edge()) {
+    auto edge = g.GetEdge(entity.id);
+    if (!edge.ok()) return edge.status();
+    return &(*edge)->properties;
+  }
+  auto vertex = g.GetVertex(entity.id);
+  if (!vertex.ok()) return vertex.status();
+  return &(*vertex)->properties;
 }
 
-std::vector<std::string> SeriesKeysOfEdge(const graph::PropertyGraph& g,
-                                          graph::EdgeId e) {
-  auto edge = g.GetEdge(e);
-  if (!edge.ok()) return {};
-  return ScanSeriesKeys((*edge)->properties);
+// The two reads the live store (under its shared guard) and a pinned
+// snapshot share.
+Result<ts::Series> SeriesRangeIn(const graph::PropertyGraph& g,
+                                 query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval,
+                                 obs::Counter* properties_scanned,
+                                 obs::Counter* samples_parsed) {
+  auto props = PropertiesOf(g, entity);
+  if (!props.ok()) return props.status();
+  return ScanSampleProperties(**props, key, interval, properties_scanned,
+                              samples_parsed);
 }
 
-/// A pinned read view: holds the graph alive by refcount and answers every
-/// read from it, byte-identical no matter what the origin store does
+std::vector<std::string> SeriesKeysIn(const graph::PropertyGraph& g,
+                                      query::EntityRef entity) {
+  auto props = PropertiesOf(g, entity);
+  if (!props.ok()) return {};
+  return ScanSeriesKeys(**props);
+}
+
+/// A pinned read view: holds the graph alive by pin and answers every read
+/// from it, byte-identical no matter what the origin store does
 /// concurrently. Work still attributes to the origin's registry so
 /// PROFILE's before/after differencing keeps working across a snapshot.
 class AllInGraphSnapshot final : public query::QueryBackend {
@@ -118,36 +137,18 @@ class AllInGraphSnapshot final : public query::QueryBackend {
     return w;
   }
 
-  Status AppendVertexSample(graph::VertexId, const std::string&, Timestamp,
-                            double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-  Status AppendEdgeSample(graph::EdgeId, const std::string&, Timestamp,
-                          double) override {
+  Status AppendSamples(std::span<const query::SampleWrite>) override {
     return Status::FailedPrecondition("snapshot is read-only");
   }
 
-  Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const override {
-    auto vertex = graph_->GetVertex(v);
-    if (!vertex.ok()) return vertex.status();
-    return ScanSampleProperties((*vertex)->properties, key, interval,
-                                properties_scanned_, samples_parsed_);
+  Result<ts::Series> SeriesRange(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval) const override {
+    return SeriesRangeIn(*graph_, entity, key, interval, properties_scanned_,
+                         samples_parsed_);
   }
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override {
-    auto edge = graph_->GetEdge(e);
-    if (!edge.ok()) return edge.status();
-    return ScanSampleProperties((*edge)->properties, key, interval,
-                                properties_scanned_, samples_parsed_);
-  }
-
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override {
-    return SeriesKeysOfVertex(*graph_, v);
-  }
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override {
-    return SeriesKeysOfEdge(*graph_, e);
+  std::vector<std::string> SeriesKeys(query::EntityRef entity) const override {
+    return SeriesKeysIn(*graph_, entity);
   }
 
   bool SeriesEmbeddedInTopology() const override { return true; }
@@ -162,13 +163,11 @@ class AllInGraphSnapshot final : public query::QueryBackend {
 }  // namespace
 
 AllInGraphStore::AllInGraphStore()
-    : graph_(std::make_shared<graph::PropertyGraph>()),
-      metrics_(std::make_unique<obs::MetricsRegistry>()),
+    : metrics_(std::make_unique<obs::MetricsRegistry>()),
+      topology_(metrics_.get()),
       properties_scanned_(metrics_->counter("allingraph.properties_scanned")),
       samples_parsed_(metrics_->counter("allingraph.samples_parsed")),
       snapshot_pins_(metrics_->counter("concurrency.snapshot_pins")),
-      topology_cow_copies_(
-          metrics_->counter("concurrency.topology_cow_copies")),
       sync_(SyncInstruments::ForRegistry(metrics_.get())),
       topo_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)) {}
 
@@ -181,33 +180,25 @@ query::BackendWork AllInGraphStore::Work() const {
 
 const graph::PropertyGraph& AllInGraphStore::topology() const {
   SharedLock lock(*topo_mu_);
-  return *graph_;  // reference outlives the guard; see header contract
-}
-
-graph::PropertyGraph* AllInGraphStore::Detach() {
-  if (graph_.use_count() > 1) {
-    graph_ = std::make_shared<graph::PropertyGraph>(*graph_);
-    topology_cow_copies_->Increment();
-  }
-  return graph_.get();
+  return topology_.get();  // reference outlives the guard; see header
 }
 
 graph::PropertyGraph* AllInGraphStore::mutable_topology() {
   ExclusiveLock lock(*topo_mu_);
-  return Detach();
+  return topology_.Mutable();
 }
 
 Status AllInGraphStore::MutateTopology(
     const std::function<Status(graph::PropertyGraph*)>& fn) {
   ExclusiveLock lock(*topo_mu_);
-  return fn(Detach());
+  return fn(topology_.Mutable());
 }
 
 std::shared_ptr<const query::QueryBackend> AllInGraphStore::BeginSnapshot()
     const {
   SharedLock lock(*topo_mu_);
   snapshot_pins_->Increment();
-  return std::make_shared<AllInGraphSnapshot>(graph_, metrics_.get(),
+  return std::make_shared<AllInGraphSnapshot>(topology_.Pin(), metrics_.get(),
                                               properties_scanned_,
                                               samples_parsed_);
 }
@@ -236,49 +227,33 @@ bool AllInGraphStore::DecodeSampleKey(const std::string& property_key,
   return true;
 }
 
-Status AllInGraphStore::AppendVertexSample(graph::VertexId v,
-                                           const std::string& key,
-                                           Timestamp t, double value) {
+Status AllInGraphStore::AppendSamples(
+    std::span<const query::SampleWrite> samples) {
+  if (samples.empty()) return Status::OK();
   ExclusiveLock lock(*topo_mu_);
-  return Detach()->SetVertexProperty(v, EncodeSampleKey(key, t), Value(value));
+  graph::PropertyGraph* g = topology_.Mutable();
+  for (const query::SampleWrite& s : samples) {
+    const std::string property = EncodeSampleKey(s.key, s.t);
+    HYGRAPH_RETURN_IF_ERROR(
+        s.entity.is_edge()
+            ? g->SetEdgeProperty(s.entity.id, property, Value(s.value))
+            : g->SetVertexProperty(s.entity.id, property, Value(s.value)));
+  }
+  return Status::OK();
 }
 
-Status AllInGraphStore::AppendEdgeSample(graph::EdgeId e,
-                                         const std::string& key, Timestamp t,
-                                         double value) {
-  ExclusiveLock lock(*topo_mu_);
-  return Detach()->SetEdgeProperty(e, EncodeSampleKey(key, t), Value(value));
-}
-
-std::vector<std::string> AllInGraphStore::VertexSeriesKeys(
-    graph::VertexId v) const {
+std::vector<std::string> AllInGraphStore::SeriesKeys(
+    query::EntityRef entity) const {
   SharedLock lock(*topo_mu_);
-  return SeriesKeysOfVertex(*graph_, v);
+  return SeriesKeysIn(topology_.get(), entity);
 }
 
-std::vector<std::string> AllInGraphStore::EdgeSeriesKeys(
-    graph::EdgeId e) const {
-  SharedLock lock(*topo_mu_);
-  return SeriesKeysOfEdge(*graph_, e);
-}
-
-Result<ts::Series> AllInGraphStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key,
+Result<ts::Series> AllInGraphStore::SeriesRange(
+    query::EntityRef entity, const std::string& key,
     const Interval& interval) const {
   SharedLock lock(*topo_mu_);
-  auto vertex = graph_->GetVertex(v);
-  if (!vertex.ok()) return vertex.status();
-  return ScanSampleProperties((*vertex)->properties, key, interval,
-                              properties_scanned_, samples_parsed_);
-}
-
-Result<ts::Series> AllInGraphStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  SharedLock lock(*topo_mu_);
-  auto edge = graph_->GetEdge(e);
-  if (!edge.ok()) return edge.status();
-  return ScanSampleProperties((*edge)->properties, key, interval,
-                              properties_scanned_, samples_parsed_);
+  return SeriesRangeIn(topology_.get(), entity, key, interval,
+                       properties_scanned_, samples_parsed_);
 }
 
 }  // namespace hygraph::storage

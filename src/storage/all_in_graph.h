@@ -7,6 +7,7 @@
 
 #include "common/sync.h"
 #include "query/backend.h"
+#include "storage/cow_topology.h"
 
 namespace hygraph::storage {
 
@@ -35,7 +36,7 @@ namespace hygraph::storage {
 ///
 /// Thread safety (DESIGN.md §10): the whole store sits behind one
 /// reader-writer guard. Series reads and BeginSnapshot() take it shared;
-/// Append*Sample and MutateTopology take it exclusive and copy-on-write
+/// AppendSamples and MutateTopology take it exclusive and copy-on-write
 /// detach the graph when a snapshot has it pinned, so pinned views stay
 /// immutable. topology() and mutable_topology() hand out references that
 /// outlive the guard — they are safe only single-threaded or against a
@@ -67,21 +68,17 @@ class AllInGraphStore final : public query::QueryBackend {
   obs::MetricsRegistry* metrics() const override { return metrics_.get(); }
   query::BackendWork Work() const override;
 
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override;
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                          Timestamp t, double value) override;
+  /// One exclusive hold for the whole batch; each sample becomes one
+  /// property write.
+  Status AppendSamples(std::span<const query::SampleWrite> samples) override;
 
-  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval) const override;
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override;
+  Result<ts::Series> SeriesRange(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval) const override;
 
   /// Series keys reconstructed by scanning the property map for the sample
   /// prefix — the only way a generic property store can know them.
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override;
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override;
+  std::vector<std::string> SeriesKeys(query::EntityRef entity) const override;
 
   /// Samples ARE properties here: persisting the topology persists them.
   bool SeriesEmbeddedInTopology() const override { return true; }
@@ -93,18 +90,12 @@ class AllInGraphStore final : public query::QueryBackend {
                               const std::string& key, Timestamp* t);
 
  private:
-  /// Copy-on-write detach; call under exclusive topo_mu_. When a snapshot
-  /// has the graph pinned, replaces it with a private copy so the pinned
-  /// view keeps the pre-mutation state.
-  graph::PropertyGraph* Detach() HYGRAPH_REQUIRES(*topo_mu_);
-
-  std::shared_ptr<graph::PropertyGraph> graph_ HYGRAPH_GUARDED_BY(*topo_mu_);
   // Heap-held so the cached counter pointers survive moves of the store.
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  CowTopology topology_ HYGRAPH_GUARDED_BY(*topo_mu_);
   obs::Counter* properties_scanned_ = nullptr;
   obs::Counter* samples_parsed_ = nullptr;
   obs::Counter* snapshot_pins_ = nullptr;
-  obs::Counter* topology_cow_copies_ = nullptr;
   SyncInstruments sync_;
   // Heap-held: SharedMutex is not movable, the store is. Rank kStoreCoarse.
   std::unique_ptr<SharedMutex> topo_mu_;

@@ -242,20 +242,16 @@ std::string EncodeSampleBatch(std::span<const query::SampleWrite> samples) {
 }
 
 Status CheckDenseIds(const graph::PropertyGraph& graph) {
-  const auto vertex_ids = graph.VertexIds();
-  for (size_t i = 0; i < vertex_ids.size(); ++i) {
-    if (vertex_ids[i] != i) {
-      return Status::FailedPrecondition(
-          "snapshot requires dense vertex ids; removals stay recoverable "
-          "through the WAL until ids are dense again");
-    }
-  }
-  const auto edge_ids = graph.EdgeIds();
-  for (size_t i = 0; i < edge_ids.size(); ++i) {
-    if (edge_ids[i] != i) {
-      return Status::FailedPrecondition(
-          "snapshot requires dense edge ids; removals stay recoverable "
-          "through the WAL until ids are dense again");
+  for (const bool vertex : {true, false}) {
+    const auto ids = vertex ? graph.VertexIds() : graph.EdgeIds();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] != i) {
+        return Status::FailedPrecondition(
+            std::string("snapshot requires dense ") +
+            (vertex ? "vertex" : "edge") +
+            " ids; removals stay recoverable through the WAL until ids are "
+            "dense again");
+      }
     }
   }
   return Status::OK();
@@ -278,6 +274,7 @@ Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
   HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(backend.topology()));
   auto hg = core::FromPropertyGraph(backend.topology());
   if (!hg.ok()) return hg.status();
+  if (backend.SeriesEmbeddedInTopology()) return core::Serialize(*hg);
   std::unordered_map<std::string, SeriesId> sid_by_name;
   if (resident_only != nullptr) {
     for (SeriesId sid : resident_only->Ids()) {
@@ -285,47 +282,39 @@ Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
       if (name.ok()) sid_by_name.emplace(*name, sid);
     }
   }
-  auto collect = [&](bool vertex, uint64_t entity,
-                     const std::string& key) -> Result<std::vector<ts::Sample>> {
+  auto collect = [&](query::EntityRef entity, const std::string& key)
+      -> Result<std::vector<ts::Sample>> {
     if (resident_only != nullptr) {
-      auto it = sid_by_name.find(query::SeriesSlotName(vertex, entity, key));
+      auto it = sid_by_name.find(query::SeriesSlotName(entity, key));
       if (it != sid_by_name.end()) {
         return resident_only->MaterializeResident(it->second);
       }
       // A key the hypertable does not know by slot name (a foreign naming
       // scheme): fall through to the full materialization below.
     }
-    auto series = vertex
-                      ? backend.VertexSeriesRange(entity, key, Interval::All())
-                      : backend.EdgeSeriesRange(entity, key, Interval::All());
+    auto series = backend.SeriesRange(entity, key, Interval::All());
     if (!series.ok()) return series.status();
     return std::vector<ts::Sample>(series->samples().begin(),
                                    series->samples().end());
   };
-  if (!backend.SeriesEmbeddedInTopology()) {
-    for (graph::VertexId v : backend.topology().VertexIds()) {
-      for (const std::string& key : backend.VertexSeriesKeys(v)) {
-        auto samples = collect(/*vertex=*/true, v, key);
+  const graph::PropertyGraph& topo = backend.topology();
+  for (const auto kind : {query::EntityRef::kVertex, query::EntityRef::kEdge}) {
+    const auto ids = kind == query::EntityRef::kVertex ? topo.VertexIds()
+                                                       : topo.EdgeIds();
+    for (uint64_t id : ids) {
+      const query::EntityRef entity{kind, id};
+      for (const std::string& key : backend.SeriesKeys(entity)) {
+        auto samples = collect(entity, key);
         if (!samples.ok()) return samples.status();
         ts::MultiSeries ms(key, {"value"});
         for (const ts::Sample& s : *samples) {
           HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
         }
-        auto sid = hg->SetVertexSeriesProperty(
-            v, kSnapshotSeriesPrefix + key, std::move(ms));
-        if (!sid.ok()) return sid.status();
-      }
-    }
-    for (graph::EdgeId e : backend.topology().EdgeIds()) {
-      for (const std::string& key : backend.EdgeSeriesKeys(e)) {
-        auto samples = collect(/*vertex=*/false, e, key);
-        if (!samples.ok()) return samples.status();
-        ts::MultiSeries ms(key, {"value"});
-        for (const ts::Sample& s : *samples) {
-          HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
-        }
-        auto sid = hg->SetEdgeSeriesProperty(e, kSnapshotSeriesPrefix + key,
-                                             std::move(ms));
+        const std::string property = kSnapshotSeriesPrefix + key;
+        auto sid =
+            entity.is_edge()
+                ? hg->SetEdgeSeriesProperty(id, property, std::move(ms))
+                : hg->SetVertexSeriesProperty(id, property, std::move(ms));
         if (!sid.ok()) return sid.status();
       }
     }
@@ -350,67 +339,62 @@ Status RestoreFromSnapshotText(const std::string& text,
   if (!hg.ok()) return hg.status();
 
   graph::PropertyGraph* topo = backend->mutable_topology();
-  for (graph::VertexId v : hg->structure().VertexIds()) {
-    const graph::Vertex& vertex = **hg->structure().GetVertex(v);
-    graph::PropertyMap static_props;
-    for (const auto& [key, value] : vertex.properties) {
-      if (!value.is_series_ref()) static_props.emplace(key, value);
+  const graph::PropertyGraph& structure = hg->structure();
+  const auto static_props = [](const graph::PropertyMap& props) {
+    graph::PropertyMap out;
+    for (const auto& [key, value] : props) {
+      if (!value.is_series_ref()) out.emplace(key, value);
     }
+    return out;
+  };
+  const auto id_mismatch = [](const char* kind, uint64_t assigned,
+                              uint64_t expected) {
+    return Status::Corruption(std::string("snapshot restore produced ") +
+                              kind + " id " + std::to_string(assigned) +
+                              ", expected " + std::to_string(expected));
+  };
+  for (graph::VertexId v : structure.VertexIds()) {
+    const graph::Vertex& vertex = **structure.GetVertex(v);
     const graph::VertexId assigned =
-        topo->AddVertex(vertex.labels, std::move(static_props));
-    if (assigned != v) {
-      return Status::Corruption("snapshot restore produced vertex id " +
-                                std::to_string(assigned) + ", expected " +
-                                std::to_string(v));
-    }
+        topo->AddVertex(vertex.labels, static_props(vertex.properties));
+    if (assigned != v) return id_mismatch("vertex", assigned, v);
   }
-  for (graph::EdgeId e : hg->structure().EdgeIds()) {
-    const graph::Edge& edge = **hg->structure().GetEdge(e);
-    graph::PropertyMap static_props;
-    for (const auto& [key, value] : edge.properties) {
-      if (!value.is_series_ref()) static_props.emplace(key, value);
-    }
-    auto assigned =
-        topo->AddEdge(edge.src, edge.dst, edge.label, std::move(static_props));
+  for (graph::EdgeId e : structure.EdgeIds()) {
+    const graph::Edge& edge = **structure.GetEdge(e);
+    auto assigned = topo->AddEdge(edge.src, edge.dst, edge.label,
+                                  static_props(edge.properties));
     if (!assigned.ok()) return assigned.status();
-    if (*assigned != e) {
-      return Status::Corruption("snapshot restore produced edge id " +
-                                std::to_string(*assigned) + ", expected " +
-                                std::to_string(e));
-    }
+    if (*assigned != e) return id_mismatch("edge", *assigned, e);
   }
 
-  // Re-ingest the series that were carried as pooled series properties.
+  // Re-ingest the series that were carried as pooled series properties,
+  // one AppendSamples batch per series.
   const size_t prefix_len = sizeof(kSnapshotSeriesPrefix) - 1;
-  for (graph::VertexId v : hg->structure().VertexIds()) {
-    const graph::Vertex& vertex = **hg->structure().GetVertex(v);
-    for (const auto& [key, value] : vertex.properties) {
-      if (!value.is_series_ref() ||
-          !StartsWith(key, kSnapshotSeriesPrefix)) {
-        continue;
-      }
-      auto ms = hg->LookupSeries(value.AsSeriesId());
-      if (!ms.ok()) return ms.status();
-      const std::string series_key = key.substr(prefix_len);
-      for (size_t r = 0; r < (*ms)->size(); ++r) {
-        HYGRAPH_RETURN_IF_ERROR(backend->AppendVertexSample(
-            v, series_key, (*ms)->times()[r], (*ms)->at(r, 0)));
-      }
-    }
-  }
-  for (graph::EdgeId e : hg->structure().EdgeIds()) {
-    const graph::Edge& edge = **hg->structure().GetEdge(e);
-    for (const auto& [key, value] : edge.properties) {
-      if (!value.is_series_ref() ||
-          !StartsWith(key, kSnapshotSeriesPrefix)) {
-        continue;
-      }
-      auto ms = hg->LookupSeries(value.AsSeriesId());
-      if (!ms.ok()) return ms.status();
-      const std::string series_key = key.substr(prefix_len);
-      for (size_t r = 0; r < (*ms)->size(); ++r) {
-        HYGRAPH_RETURN_IF_ERROR(backend->AppendEdgeSample(
-            e, series_key, (*ms)->times()[r], (*ms)->at(r, 0)));
+  std::vector<query::SampleWrite> batch;
+  for (const auto kind : {query::EntityRef::kVertex, query::EntityRef::kEdge}) {
+    const auto ids = kind == query::EntityRef::kVertex ? structure.VertexIds()
+                                                       : structure.EdgeIds();
+    for (uint64_t id : ids) {
+      const graph::PropertyMap& props =
+          kind == query::EntityRef::kVertex
+              ? (*structure.GetVertex(id))->properties
+              : (*structure.GetEdge(id))->properties;
+      for (const auto& [key, value] : props) {
+        if (!value.is_series_ref() ||
+            !StartsWith(key, kSnapshotSeriesPrefix)) {
+          continue;
+        }
+        auto ms = hg->LookupSeries(value.AsSeriesId());
+        if (!ms.ok()) return ms.status();
+        const query::EntityRef entity{kind, id};
+        const std::string series_key = key.substr(prefix_len);
+        batch.clear();
+        batch.reserve((*ms)->size());
+        for (size_t r = 0; r < (*ms)->size(); ++r) {
+          batch.push_back(
+              {entity, series_key, (*ms)->times()[r], (*ms)->at(r, 0)});
+        }
+        HYGRAPH_RETURN_IF_ERROR(backend->AppendSamples(batch));
       }
     }
   }
@@ -501,15 +485,13 @@ Status DurableStore::Open() {
       auto catalog = cold_tier_->LoadCatalog(snap_seq);
       if (!catalog.ok()) return catalog.status();
       for (const ColdCatalogEntry& entry : *catalog) {
-        bool vertex = false;
-        uint64_t entity = 0;
+        query::EntityRef entity;
         std::string key;
-        if (!query::ParseSeriesSlotName(entry.series, &vertex, &entity,
-                                        &key)) {
+        if (!query::ParseSeriesSlotName(entry.series, &entity, &key)) {
           return Status::Corruption("cold catalog series '" + entry.series +
                                     "' is not an entity slot name");
         }
-        auto sid = inner_->EnsureSeries(vertex, entity, key);
+        auto sid = inner_->EnsureSeries(entity, key);
         if (!sid.ok()) return sid.status();
         HYGRAPH_RETURN_IF_ERROR(tiered_ht->AdoptColdChunk(
             *sid, entry.chunk_start, entry.id, entry.meta));
@@ -723,8 +705,10 @@ Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
     if (!t.ok()) return t.status();
     auto value = cursor.NextDouble();
     if (!value.ok()) return value.status();
-    return *op == "AV" ? inner_->AppendVertexSample(*id, *key, *t, *value)
-                       : inner_->AppendEdgeSample(*id, *key, *t, *value);
+    const query::EntityRef entity{
+        *op == "AV" ? query::EntityRef::kVertex : query::EntityRef::kEdge,
+        *id};
+    return inner_->AppendSample({entity, *key, *t, *value});
   }
   if (*op == "NV") {
     auto id = cursor.NextUint();
@@ -1091,70 +1075,6 @@ Status DurableStore::AppendSamples(
   Status s = inner_->AppendSamples(samples);
   MaybeAutoCheckpoint();
   return s;
-}
-
-Status DurableStore::AppendVertexSample(graph::VertexId v,
-                                        const std::string& key, Timestamp t,
-                                        double value) {
-  const query::SampleWrite sample{
-      {query::EntityRef::kVertex, v}, key, t, value};
-  return AppendSamples({&sample, 1});
-}
-
-Status DurableStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                      Timestamp t, double value) {
-  const query::SampleWrite sample{
-      {query::EntityRef::kEdge, e}, key, t, value};
-  return AppendSamples({&sample, 1});
-}
-
-Result<ts::Series> DurableStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key, const Interval& interval) const {
-  return inner_->VertexSeriesRange(v, key, interval);
-}
-
-Result<ts::Series> DurableStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  return inner_->EdgeSeriesRange(e, key, interval);
-}
-
-Result<double> DurableStore::VertexSeriesAggregate(graph::VertexId v,
-                                                   const std::string& key,
-                                                   const Interval& interval,
-                                                   ts::AggKind kind) const {
-  return inner_->VertexSeriesAggregate(v, key, interval, kind);
-}
-
-Result<double> DurableStore::EdgeSeriesAggregate(graph::EdgeId e,
-                                                 const std::string& key,
-                                                 const Interval& interval,
-                                                 ts::AggKind kind) const {
-  return inner_->EdgeSeriesAggregate(e, key, interval, kind);
-}
-
-Result<ts::Series> DurableStore::VertexSeriesWindowAggregate(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  return inner_->VertexSeriesWindowAggregate(v, key, interval, width, kind);
-}
-
-Result<ts::Series> DurableStore::EdgeSeriesWindowAggregate(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  return inner_->EdgeSeriesWindowAggregate(e, key, interval, width, kind);
-}
-
-std::vector<std::string> DurableStore::VertexSeriesKeys(
-    graph::VertexId v) const {
-  return inner_->VertexSeriesKeys(v);
-}
-
-std::vector<std::string> DurableStore::EdgeSeriesKeys(graph::EdgeId e) const {
-  return inner_->EdgeSeriesKeys(e);
-}
-
-bool DurableStore::SeriesEmbeddedInTopology() const {
-  return inner_->SeriesEmbeddedInTopology();
 }
 
 }  // namespace hygraph::storage

@@ -204,38 +204,54 @@ class DurableStore final : public query::QueryBackend {
   /// in order up to the first failure. Replay applies the same prefix, so
   /// the recovered state always matches what the caller was told.
   Status AppendSamples(std::span<const query::SampleWrite> samples) override;
-  /// Batch-of-one wrappers around AppendSamples.
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override;
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key, Timestamp t,
-                          double value) override;
-  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval) const override;
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override;
-  Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval,
-                                       ts::AggKind kind) const override;
-  Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval,
-                                     ts::AggKind kind) const override;
-  Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-  Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override;
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override;
-  bool SeriesEmbeddedInTopology() const override;
+
+  // Reads are not logged: each one forwards to the wrapped backend, so the
+  // durable store answers with the inner engine's native paths (batch
+  // fan-out, zone-map counting) and the same Work() counters.
+  Result<ts::Series> SeriesRange(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval) const override {
+    return inner_->SeriesRange(entity, key, interval);
+  }
+  Result<double> SeriesAggregate(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval,
+                                 ts::AggKind kind) const override {
+    return inner_->SeriesAggregate(entity, key, interval, kind);
+  }
+  std::vector<Result<double>> SeriesAggregateBatch(
+      query::EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key, const Interval& interval,
+      ts::AggKind kind) const override {
+    return inner_->SeriesAggregateBatch(entity_kind, ids, key, interval, kind);
+  }
+  Result<ts::Series> SeriesWindowAggregate(query::EntityRef entity,
+                                           const std::string& key,
+                                           const Interval& interval,
+                                           Duration width,
+                                           ts::AggKind kind) const override {
+    return inner_->SeriesWindowAggregate(entity, key, interval, width, kind);
+  }
+  Result<size_t> SeriesCountInRange(query::EntityRef entity,
+                                    const std::string& key,
+                                    const Interval& interval,
+                                    double min_value,
+                                    double max_value) const override {
+    return inner_->SeriesCountInRange(entity, key, interval, min_value,
+                                      max_value);
+  }
+  std::vector<std::string> SeriesKeys(query::EntityRef entity) const override {
+    return inner_->SeriesKeys(entity);
+  }
+  bool SeriesEmbeddedInTopology() const override {
+    return inner_->SeriesEmbeddedInTopology();
+  }
   ts::HypertableStore* series_hypertable() override {
     return inner_->series_hypertable();
   }
-  Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
+  Result<SeriesId> EnsureSeries(query::EntityRef entity,
                                 const std::string& key) override {
-    return inner_->EnsureSeries(vertex, entity, key);
+    return inner_->EnsureSeries(entity, key);
   }
 
  private:
@@ -332,9 +348,10 @@ class DurableStore final : public query::QueryBackend {
 /// and for state comparison (the text is canonical).
 Result<std::string> BuildSnapshotText(const query::QueryBackend& backend);
 
-/// Rebuilds backend state from BuildSnapshotText output. The backend must
-/// be freshly constructed (empty). Requires the CHECKSUM trailer: a
-/// snapshot that lost it (truncation) is rejected as kCorruption.
+/// Rebuilds backend state from BuildSnapshotText output, re-ingesting each
+/// series as one AppendSamples batch. The backend must be freshly
+/// constructed (empty). Requires the CHECKSUM trailer: a snapshot that lost
+/// it (truncation) is rejected as kCorruption.
 Status RestoreFromSnapshotText(const std::string& text,
                                query::QueryBackend* backend);
 

@@ -1,6 +1,5 @@
 #include "storage/polyglot.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -8,87 +7,107 @@ namespace hygraph::storage {
 
 namespace {
 
+using query::EntityRef;
+using SeriesDirectory = PolyglotStore::SeriesDirectory;
+
 ts::HypertableOptions WithDefaultMetrics(ts::HypertableOptions options,
                                          obs::MetricsRegistry* registry) {
   if (options.metrics == nullptr) options.metrics = registry;
   return options;
 }
 
-Result<SeriesId> ResolveIn(const PolyglotStore::SeriesMap& map, uint64_t id,
+Result<SeriesId> ResolveIn(const SeriesDirectory& directory, EntityRef entity,
                            const std::string& key) {
-  auto it = map.find(PolyglotStore::EntityKey{id, key});
-  if (it == map.end()) {
+  auto it = directory.find({entity, key});
+  if (it == directory.end()) {
     return Status::NotFound("no series '" + key + "' on entity " +
-                            std::to_string(id));
+                            std::to_string(entity.id));
   }
   return it->second;
 }
 
-std::vector<std::string> KeysOf(const PolyglotStore::SeriesMap& map,
-                                uint64_t id) {
-  std::vector<std::string> keys;
-  for (const auto& [entity_key, sid] : map) {
-    (void)sid;
-    if (entity_key.id == id) keys.push_back(entity_key.key);
+std::vector<Result<SeriesId>> ResolveAllIn(const SeriesDirectory& directory,
+                                           EntityRef::Kind entity_kind,
+                                           const std::vector<uint64_t>& ids,
+                                           const std::string& key) {
+  std::vector<Result<SeriesId>> sids;
+  sids.reserve(ids.size());
+  for (uint64_t id : ids) {
+    sids.push_back(ResolveIn(directory, {entity_kind, id}, key));
   }
-  std::sort(keys.begin(), keys.end());
+  return sids;
+}
+
+std::vector<std::string> KeysOf(const SeriesDirectory& directory,
+                                EntityRef entity) {
+  std::vector<std::string> keys;
+  for (auto it = directory.lower_bound({entity, std::string()});
+       it != directory.end() && it->first.first == entity; ++it) {
+    keys.push_back(it->first.second);
+  }
   return keys;
 }
 
-// An entity without a series under `key` behaves like an entity with an
-// empty series, matching AllInGraphStore (whose generic property scan
-// cannot distinguish the two). Aggregates over nothing fold the same way
-// as AggState::Finalize on an empty range.
+Status CheckEntityExists(const graph::PropertyGraph& graph, EntityRef entity) {
+  if (entity.is_edge() ? graph.HasEdge(entity.id)
+                       : graph.HasVertex(entity.id)) {
+    return Status::OK();
+  }
+  return Status::NotFound((entity.is_edge() ? "no edge with id "
+                                            : "no vertex with id ") +
+                          std::to_string(entity.id));
+}
+
+// Aggregates over nothing fold the same way as AggState::Finalize on an
+// empty range.
 Result<double> EmptyAggregate(ts::AggKind kind) {
   if (kind == ts::AggKind::kCount) return 0.0;
   return Status::NotFound("aggregate over empty range");
 }
 
-// Resolves each entity's series under `key` and pre-fills the answer
-// vector with EmptyAggregate placeholders; absent entities keep the
-// placeholder (matching the single-entity overrides). Present entities are
-// recorded as (series, output slot) pairs for the batch call.
-std::vector<Result<double>> PlanAggregateBatch(
-    const PolyglotStore::SeriesMap& map, const std::vector<uint64_t>& ids,
-    const std::string& key, ts::AggKind kind, std::vector<SeriesId>* present,
-    std::vector<size_t>* slot) {
-  std::vector<Result<double>> out;
-  out.reserve(ids.size());
-  present->reserve(ids.size());
-  slot->reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    auto sid = ResolveIn(map, ids[i], key);
-    if (sid.ok()) {
-      present->push_back(*sid);
-      slot->push_back(i);
-    }
-    out.push_back(EmptyAggregate(kind));
-  }
-  return out;
-}
+/// A pinned read view: the graph by pin, the series directory by copy, and
+/// the hypertable by an O(series) fork whose chunk vectors are shared until
+/// the origin writes. The fork shares the origin's registry, so
+/// Work()/PROFILE attribution keeps working across a snapshot.
+class PolyglotSnapshot final : public PolyglotReads {
+ public:
+  PolyglotSnapshot(std::shared_ptr<const graph::PropertyGraph> graph,
+                   SeriesDirectory directory,
+                   std::shared_ptr<const ts::HypertableStore> series)
+      : graph_(std::move(graph)),
+        directory_(std::move(directory)),
+        series_(std::move(series)) {}
 
-// Runs the resolved series through the hypertable's batch aggregate (one
-// morsel per series) and scatters the answers into their slots. A
-// batch-wide failure (cancellation, deadline, budget) overwrites every
-// slot; per-series errors come back inside the results themselves.
-void ScatterAggregateBatch(const ts::HypertableStore& store,
-                           const Interval& interval, ts::AggKind kind,
-                           const std::vector<SeriesId>& present,
-                           const std::vector<size_t>& slot,
-                           std::vector<Result<double>>* out) {
-  if (present.empty()) return;
-  std::vector<Result<double>> results;
-  const Status batch = store.AggregateMany(present, interval, kind, &results);
-  if (!batch.ok()) {
-    for (auto& r : *out) r = batch;
-    return;
+  const graph::PropertyGraph& topology() const override { return *graph_; }
+  graph::PropertyGraph* mutable_topology() override { return nullptr; }
+  Status AppendSamples(std::span<const query::SampleWrite>) override {
+    return Status::FailedPrecondition("snapshot is read-only");
   }
-  for (size_t i = 0; i < present.size(); ++i) {
-    (*out)[slot[i]] = std::move(results[i]);
+  std::vector<std::string> SeriesKeys(EntityRef entity) const override {
+    return KeysOf(directory_, entity);
   }
-}
 
-query::BackendWork WorkFromStats(const ts::HypertableStats& stats) {
+ private:
+  const ts::HypertableStore& hypertable() const override { return *series_; }
+  Result<SeriesId> Resolve(EntityRef entity,
+                           const std::string& key) const override {
+    return ResolveIn(directory_, entity, key);
+  }
+  std::vector<Result<SeriesId>> ResolveAll(
+      EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key) const override {
+    return ResolveAllIn(directory_, entity_kind, ids, key);
+  }
+
+  std::shared_ptr<const graph::PropertyGraph> graph_;
+  const SeriesDirectory directory_;
+  std::shared_ptr<const ts::HypertableStore> series_;
+};
+
+}  // namespace
+
+query::BackendWork PolyglotReads::Work() const {
+  const ts::HypertableStats stats = hypertable().stats();
   query::BackendWork w;
   w.series_points_scanned = stats.samples_scanned;
   w.chunks_decoded = stats.chunks_decoded;
@@ -98,376 +117,170 @@ query::BackendWork WorkFromStats(const ts::HypertableStats& stats) {
   return w;
 }
 
-/// A pinned read view: the graph by refcount, the (entity, key) maps by
-/// copy, and the hypertable by an O(series) fork whose chunk vectors are
-/// shared until the origin writes. The fork shares the origin's registry,
-/// so Work()/PROFILE attribution keeps working across a snapshot.
-class PolyglotSnapshot final : public query::QueryBackend {
- public:
-  PolyglotSnapshot(std::shared_ptr<const graph::PropertyGraph> graph,
-                   PolyglotStore::SeriesMap vertex_series,
-                   PolyglotStore::SeriesMap edge_series,
-                   std::shared_ptr<const ts::HypertableStore> series)
-      : graph_(std::move(graph)),
-        vertex_series_(std::move(vertex_series)),
-        edge_series_(std::move(edge_series)),
-        series_(std::move(series)) {}
+Result<ts::Series> PolyglotReads::SeriesRange(EntityRef entity,
+                                              const std::string& key,
+                                              const Interval& interval) const {
+  auto sid = Resolve(entity, key);
+  if (!sid.ok()) return ts::Series(key);
+  return hypertable().Materialize(*sid, interval);
+}
 
-  std::string name() const override { return "polyglot"; }
-  const graph::PropertyGraph& topology() const override { return *graph_; }
-  graph::PropertyGraph* mutable_topology() override { return nullptr; }
+Result<double> PolyglotReads::SeriesAggregate(EntityRef entity,
+                                              const std::string& key,
+                                              const Interval& interval,
+                                              ts::AggKind kind) const {
+  auto sid = Resolve(entity, key);
+  if (!sid.ok()) return EmptyAggregate(kind);
+  return hypertable().Aggregate(*sid, interval, kind);
+}
 
-  obs::MetricsRegistry* metrics() const override { return series_->metrics(); }
-  query::BackendWork Work() const override {
-    return WorkFromStats(series_->stats());
+std::vector<Result<double>> PolyglotReads::SeriesAggregateBatch(
+    EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+    const std::string& key, const Interval& interval, ts::AggKind kind) const {
+  // Absent entities keep the EmptyAggregate placeholder (matching
+  // SeriesAggregate); the present ones go through the hypertable's batch
+  // aggregate (one morsel per series) and scatter back into their slots.
+  const std::vector<Result<SeriesId>> sids = ResolveAll(entity_kind, ids, key);
+  std::vector<Result<double>> out(ids.size(), EmptyAggregate(kind));
+  std::vector<SeriesId> present;
+  std::vector<size_t> slot;
+  for (size_t i = 0; i < sids.size(); ++i) {
+    if (!sids[i].ok()) continue;
+    present.push_back(*sids[i]);
+    slot.push_back(i);
   }
-
-  Status AppendVertexSample(graph::VertexId, const std::string&, Timestamp,
-                            double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-  Status AppendEdgeSample(graph::EdgeId, const std::string&, Timestamp,
-                          double) override {
-    return Status::FailedPrecondition("snapshot is read-only");
-  }
-
-  Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->Materialize(*sid, interval);
-  }
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->Materialize(*sid, interval);
-  }
-
-  Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval,
-                                       ts::AggKind kind) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
-    if (!sid.ok()) return EmptyAggregate(kind);
-    return series_->Aggregate(*sid, interval, kind);
-  }
-  Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval,
-                                     ts::AggKind kind) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
-    if (!sid.ok()) return EmptyAggregate(kind);
-    return series_->Aggregate(*sid, interval, kind);
-  }
-
-  std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override {
-    std::vector<SeriesId> present;
-    std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(vertex_series_, vertices, key, kind,
-                                  &present, &slot);
-    ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
+  if (present.empty()) return out;
+  std::vector<Result<double>> results;
+  const Status batch =
+      hypertable().AggregateMany(present, interval, kind, &results);
+  if (!batch.ok()) {
+    // A batch-wide failure (cancellation, deadline, budget) overwrites
+    // every slot; per-series errors come back inside the results.
+    for (auto& r : out) r = batch;
     return out;
   }
-  std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override {
-    std::vector<SeriesId> present;
-    std::vector<size_t> slot;
-    auto out = PlanAggregateBatch(edge_series_, edges, key, kind, &present,
-                                  &slot);
-    ScatterAggregateBatch(*series_, interval, kind, present, slot, &out);
-    return out;
+  for (size_t i = 0; i < present.size(); ++i) {
+    out[slot[i]] = std::move(results[i]);
   }
+  return out;
+}
 
-  Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->WindowAggregate(*sid, interval, width, kind);
-  }
-  Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
-    if (!sid.ok()) return ts::Series(key);
-    return series_->WindowAggregate(*sid, interval, width, kind);
-  }
+Result<ts::Series> PolyglotReads::SeriesWindowAggregate(
+    EntityRef entity, const std::string& key, const Interval& interval,
+    Duration width, ts::AggKind kind) const {
+  auto sid = Resolve(entity, key);
+  if (!sid.ok()) return ts::Series(key);
+  return hypertable().WindowAggregate(*sid, interval, width, kind);
+}
 
-  Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                          const std::string& key,
-                                          const Interval& interval,
-                                          double min_value,
-                                          double max_value) const override {
-    auto sid = ResolveIn(vertex_series_, v, key);
-    if (!sid.ok()) return size_t{0};
-    return series_->CountMatching(*sid, interval,
-                                  ts::ScanPredicate{min_value, max_value});
-  }
-  Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                        const std::string& key,
-                                        const Interval& interval,
-                                        double min_value,
-                                        double max_value) const override {
-    auto sid = ResolveIn(edge_series_, e, key);
-    if (!sid.ok()) return size_t{0};
-    return series_->CountMatching(*sid, interval,
-                                  ts::ScanPredicate{min_value, max_value});
-  }
-
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override {
-    return KeysOf(vertex_series_, v);
-  }
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override {
-    return KeysOf(edge_series_, e);
-  }
-
- private:
-  std::shared_ptr<const graph::PropertyGraph> graph_;
-  const PolyglotStore::SeriesMap vertex_series_;
-  const PolyglotStore::SeriesMap edge_series_;
-  std::shared_ptr<const ts::HypertableStore> series_;
-};
-
-}  // namespace
+Result<size_t> PolyglotReads::SeriesCountInRange(EntityRef entity,
+                                                 const std::string& key,
+                                                 const Interval& interval,
+                                                 double min_value,
+                                                 double max_value) const {
+  auto sid = Resolve(entity, key);
+  if (!sid.ok()) return size_t{0};
+  return hypertable().CountMatching(*sid, interval,
+                                    ts::ScanPredicate{min_value, max_value});
+}
 
 PolyglotStore::PolyglotStore(ts::HypertableOptions ts_options)
-    : graph_(std::make_shared<graph::PropertyGraph>()),
-      metrics_(std::make_unique<obs::MetricsRegistry>()),
+    : metrics_(std::make_unique<obs::MetricsRegistry>()),
       series_(WithDefaultMetrics(std::move(ts_options), metrics_.get())),
-      topology_cow_copies_(
-          series_.metrics()->counter("concurrency.topology_cow_copies")),
+      topology_(series_.metrics()),
       sync_(SyncInstruments::ForRegistry(series_.metrics())),
       store_mu_(std::make_unique<SharedMutex>(LockRank::kStoreCoarse, sync_)) {
 }
 
-query::BackendWork PolyglotStore::Work() const {
-  return WorkFromStats(series_.stats());
-}
-
 const graph::PropertyGraph& PolyglotStore::topology() const {
   SharedLock lock(*store_mu_);
-  return *graph_;  // reference outlives the guard; see header contract
-}
-
-graph::PropertyGraph* PolyglotStore::Detach() {
-  if (graph_.use_count() > 1) {
-    graph_ = std::make_shared<graph::PropertyGraph>(*graph_);
-    topology_cow_copies_->Increment();
-  }
-  return graph_.get();
+  return topology_.get();  // reference outlives the guard; see header
 }
 
 graph::PropertyGraph* PolyglotStore::mutable_topology() {
   ExclusiveLock lock(*store_mu_);
-  return Detach();
+  return topology_.Mutable();
 }
 
 Status PolyglotStore::MutateTopology(
     const std::function<Status(graph::PropertyGraph*)>& fn) {
   ExclusiveLock lock(*store_mu_);
-  return fn(Detach());
+  return fn(topology_.Mutable());
 }
 
 std::shared_ptr<const query::QueryBackend> PolyglotStore::BeginSnapshot()
     const {
   // Series creation takes the exclusive guard, so under the shared guard
-  // the maps and the hypertable's series set cannot drift apart; the fork
-  // itself pins each series' chunk vector under that series' shard lock.
+  // the directory and the hypertable's series set cannot drift apart; the
+  // fork itself pins each series' chunk vector under that series' shard
+  // lock.
   SharedLock lock(*store_mu_);
-  return std::make_shared<PolyglotSnapshot>(graph_, vertex_series_,
-                                            edge_series_, series_.Fork());
+  return std::make_shared<PolyglotSnapshot>(topology_.Pin(), directory_,
+                                            series_.Fork());
 }
 
-Result<SeriesId> PolyglotStore::ResolveLocked(bool vertex, uint64_t id,
-                                              const std::string& key) const {
+Result<SeriesId> PolyglotStore::Resolve(EntityRef entity,
+                                        const std::string& key) const {
   SharedLock lock(*store_mu_);
-  return ResolveIn(vertex ? vertex_series_ : edge_series_, id, key);
+  return ResolveIn(directory_, entity, key);
 }
 
-SeriesId PolyglotStore::ResolveOrCreate(SeriesMap* map, uint64_t id,
-                                        const std::string& key,
-                                        const char* scope) {
-  auto it = map->find(EntityKey{id, key});
-  if (it != map->end()) return it->second;
+std::vector<Result<SeriesId>> PolyglotStore::ResolveAll(
+    EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+    const std::string& key) const {
+  // One brief shared hold for the whole batch instead of per-entity
+  // locking; the aggregate itself runs unlocked against the per-series
+  // shards.
+  SharedLock lock(*store_mu_);
+  return ResolveAllIn(directory_, entity_kind, ids, key);
+}
+
+SeriesId PolyglotStore::ResolveOrCreate(EntityRef entity,
+                                        const std::string& key) {
+  auto it = directory_.find({entity, key});
+  if (it != directory_.end()) return it->second;
   // The slot-name contract (query::SeriesSlotName) is what lets the cold
   // tier's catalog map persisted series back to (entity, key) on recovery.
-  const SeriesId sid =
-      series_.Create(query::SeriesSlotName(scope[0] == 'v', id, key));
-  map->emplace(EntityKey{id, key}, sid);
+  const SeriesId sid = series_.Create(query::SeriesSlotName(entity, key));
+  directory_.emplace(std::make_pair(entity, key), sid);
   return sid;
 }
 
-Result<SeriesId> PolyglotStore::EnsureSeries(bool vertex, uint64_t entity,
+Result<SeriesId> PolyglotStore::EnsureSeries(EntityRef entity,
                                              const std::string& key) {
   ExclusiveLock lock(*store_mu_);
-  return ResolveOrCreate(vertex ? &vertex_series_ : &edge_series_, entity, key,
-                         vertex ? "v" : "e");
+  return ResolveOrCreate(entity, key);
 }
 
-Status PolyglotStore::AppendVertexSample(graph::VertexId v,
-                                         const std::string& key, Timestamp t,
-                                         double value) {
-  SeriesId sid = 0;
-  bool found = false;
+Result<SeriesId> PolyglotStore::ResolveForWrite(EntityRef entity,
+                                                const std::string& key) {
   {
     // Fast path: existing series resolve under the shared guard, so
     // steady-state ingest on different series runs concurrently.
     SharedLock lock(*store_mu_);
-    if (!graph_->HasVertex(v)) {
-      return Status::NotFound("no vertex with id " + std::to_string(v));
-    }
-    auto it = vertex_series_.find(EntityKey{v, key});
-    if (it != vertex_series_.end()) {
-      sid = it->second;
-      found = true;
-    }
+    HYGRAPH_RETURN_IF_ERROR(CheckEntityExists(topology_.get(), entity));
+    auto it = directory_.find({entity, key});
+    if (it != directory_.end()) return it->second;
   }
-  if (!found) {
-    ExclusiveLock lock(*store_mu_);
-    if (!graph_->HasVertex(v)) {  // recheck: guard was dropped
-      return Status::NotFound("no vertex with id " + std::to_string(v));
-    }
-    sid = ResolveOrCreate(&vertex_series_, v, key, "v");
-  }
-  return series_.Insert(sid, t, value);
+  ExclusiveLock lock(*store_mu_);
+  // Recheck: the guard was dropped.
+  HYGRAPH_RETURN_IF_ERROR(CheckEntityExists(topology_.get(), entity));
+  return ResolveOrCreate(entity, key);
 }
 
-Status PolyglotStore::AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                                       Timestamp t, double value) {
-  SeriesId sid = 0;
-  bool found = false;
-  {
-    SharedLock lock(*store_mu_);
-    if (!graph_->HasEdge(e)) {
-      return Status::NotFound("no edge with id " + std::to_string(e));
-    }
-    auto it = edge_series_.find(EntityKey{e, key});
-    if (it != edge_series_.end()) {
-      sid = it->second;
-      found = true;
-    }
+Status PolyglotStore::AppendSamples(
+    std::span<const query::SampleWrite> samples) {
+  for (const query::SampleWrite& s : samples) {
+    auto sid = ResolveForWrite(s.entity, s.key);
+    if (!sid.ok()) return sid.status();
+    HYGRAPH_RETURN_IF_ERROR(series_.Insert(*sid, s.t, s.value));
   }
-  if (!found) {
-    ExclusiveLock lock(*store_mu_);
-    if (!graph_->HasEdge(e)) {  // recheck: guard was dropped
-      return Status::NotFound("no edge with id " + std::to_string(e));
-    }
-    sid = ResolveOrCreate(&edge_series_, e, key, "e");
-  }
-  return series_.Insert(sid, t, value);
+  return Status::OK();
 }
 
-std::vector<std::string> PolyglotStore::VertexSeriesKeys(
-    graph::VertexId v) const {
+std::vector<std::string> PolyglotStore::SeriesKeys(EntityRef entity) const {
   SharedLock lock(*store_mu_);
-  return KeysOf(vertex_series_, v);
-}
-
-std::vector<std::string> PolyglotStore::EdgeSeriesKeys(graph::EdgeId e) const {
-  SharedLock lock(*store_mu_);
-  return KeysOf(edge_series_, e);
-}
-
-Result<ts::Series> PolyglotStore::VertexSeriesRange(
-    graph::VertexId v, const std::string& key,
-    const Interval& interval) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.Materialize(*sid, interval);
-}
-
-Result<ts::Series> PolyglotStore::EdgeSeriesRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.Materialize(*sid, interval);
-}
-
-Result<double> PolyglotStore::VertexSeriesAggregate(graph::VertexId v,
-                                                    const std::string& key,
-                                                    const Interval& interval,
-                                                    ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return EmptyAggregate(kind);
-  return series_.Aggregate(*sid, interval, kind);
-}
-
-Result<double> PolyglotStore::EdgeSeriesAggregate(graph::EdgeId e,
-                                                  const std::string& key,
-                                                  const Interval& interval,
-                                                  ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return EmptyAggregate(kind);
-  return series_.Aggregate(*sid, interval, kind);
-}
-
-std::vector<Result<double>> PolyglotStore::VertexSeriesAggregateBatch(
-    const std::vector<graph::VertexId>& vertices, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  std::vector<SeriesId> present;
-  std::vector<size_t> slot;
-  std::vector<Result<double>> out;
-  {
-    // Resolve under one brief shared hold instead of per-entity locking;
-    // the aggregate itself runs unlocked against the per-series shards.
-    SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(vertex_series_, vertices, key, kind, &present,
-                             &slot);
-  }
-  ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
-  return out;
-}
-
-std::vector<Result<double>> PolyglotStore::EdgeSeriesAggregateBatch(
-    const std::vector<graph::EdgeId>& edges, const std::string& key,
-    const Interval& interval, ts::AggKind kind) const {
-  std::vector<SeriesId> present;
-  std::vector<size_t> slot;
-  std::vector<Result<double>> out;
-  {
-    SharedLock lock(*store_mu_);
-    out = PlanAggregateBatch(edge_series_, edges, key, kind, &present, &slot);
-  }
-  ScatterAggregateBatch(series_, interval, kind, present, slot, &out);
-  return out;
-}
-
-Result<size_t> PolyglotStore::VertexSeriesCountInRange(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return size_t{0};  // missing series counts like an empty one
-  return series_.CountMatching(*sid, interval,
-                               ts::ScanPredicate{min_value, max_value});
-}
-
-Result<size_t> PolyglotStore::EdgeSeriesCountInRange(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    double min_value, double max_value) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return size_t{0};
-  return series_.CountMatching(*sid, interval,
-                               ts::ScanPredicate{min_value, max_value});
-}
-
-Result<ts::Series> PolyglotStore::VertexSeriesWindowAggregate(
-    graph::VertexId v, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/true, v, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.WindowAggregate(*sid, interval, width, kind);
-}
-
-Result<ts::Series> PolyglotStore::EdgeSeriesWindowAggregate(
-    graph::EdgeId e, const std::string& key, const Interval& interval,
-    Duration width, ts::AggKind kind) const {
-  auto sid = ResolveLocked(/*vertex=*/false, e, key);
-  if (!sid.ok()) return ts::Series(key);
-  return series_.WindowAggregate(*sid, interval, width, kind);
+  return KeysOf(directory_, entity);
 }
 
 }  // namespace hygraph::storage

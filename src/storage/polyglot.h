@@ -1,15 +1,92 @@
 #ifndef HYGRAPH_STORAGE_POLYGLOT_H_
 #define HYGRAPH_STORAGE_POLYGLOT_H_
 
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "common/sync.h"
 #include "query/backend.h"
+#include "storage/cow_topology.h"
 #include "ts/hypertable.h"
 
 namespace hygraph::storage {
+
+/// The polyglot engine's series reads, written once for the live store and
+/// its pinned snapshots (file-local in polyglot.cc). Every read resolves
+/// (entity, key) to a hypertable series through a series directory, then
+/// answers from the chunked hypertable. A subclass supplies the hypertable
+/// and the directory lookups: the live store under its guard, a snapshot
+/// from its private copy. An entity without a series under `key` reads like
+/// one with an empty series, matching AllInGraphStore (whose generic
+/// property scan cannot tell the two apart).
+class PolyglotReads : public query::QueryBackend {
+ public:
+  /// The cross-store glue: (entity, key) → SeriesId for vertices and edges
+  /// in one keyspace. Ordered by entity first, so one entity's keys are
+  /// adjacent and come out sorted (SeriesKeys reads only that range).
+  using SeriesDirectory =
+      std::map<std::pair<query::EntityRef, std::string>, SeriesId>;
+
+  std::string name() const final { return "polyglot"; }
+
+  /// One registry for the whole backend; the embedded hypertable's
+  /// "hypertable.*" instruments live in it too (unless the caller injected
+  /// a registry of their own via HypertableOptions::metrics). Snapshots
+  /// share the origin's registry through the hypertable fork.
+  obs::MetricsRegistry* metrics() const final {
+    return hypertable().metrics();
+  }
+  query::BackendWork Work() const final;
+
+  Result<ts::Series> SeriesRange(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval) const final;
+
+  /// Native aggregation: answered by the hypertable's chunk-pruned,
+  /// cache-assisted aggregate instead of materializing the range.
+  Result<double> SeriesAggregate(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval,
+                                 ts::AggKind kind) const final;
+
+  /// Batch aggregates fan out across the worker pool — one morsel per
+  /// series via HypertableStore::AggregateMany (the multi-entity Table 1
+  /// query shape: one aggregate per matched station/account).
+  std::vector<Result<double>> SeriesAggregateBatch(
+      query::EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key, const Interval& interval,
+      ts::AggKind kind) const final;
+
+  /// Native tumbling windows: the hypertable's single-pass time_bucket,
+  /// chunk-cache assisted when windows align with chunks.
+  Result<ts::Series> SeriesWindowAggregate(query::EntityRef entity,
+                                           const std::string& key,
+                                           const Interval& interval,
+                                           Duration width,
+                                           ts::AggKind kind) const final;
+
+  /// Pushed-down series predicate: answered by the hypertable's
+  /// zone-map-assisted CountMatching, which skips (or counts) whole
+  /// compressed chunks without decoding them.
+  Result<size_t> SeriesCountInRange(query::EntityRef entity,
+                                    const std::string& key,
+                                    const Interval& interval,
+                                    double min_value,
+                                    double max_value) const final;
+
+ protected:
+  virtual const ts::HypertableStore& hypertable() const = 0;
+  /// The series stored under (entity, key); NotFound when there is none.
+  virtual Result<SeriesId> Resolve(query::EntityRef entity,
+                                   const std::string& key) const = 0;
+  /// Resolve for each of `ids` (entities of kind `entity_kind`), in one
+  /// pass over the directory.
+  virtual std::vector<Result<SeriesId>> ResolveAll(
+      query::EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key) const = 0;
+};
 
 /// The "Polyglot persistence" architecture of Figure 1 (the green path) —
 /// a simulation of the paper's TimeTravelDB prototype (Neo4j +
@@ -24,20 +101,19 @@ namespace hygraph::storage {
 /// polyglot glue overhead that makes TTDB slightly *slower* than Neo4j on
 /// the trivial Q1.
 ///
-/// Thread safety (DESIGN.md §10): the graph and the (entity, key) maps sit
+/// Thread safety (DESIGN.md §10): the graph and the series directory sit
 /// behind one coarse reader-writer guard, held only while touching them —
 /// sample data is read and written through the hypertable's own per-series
 /// locks, so ingest on one series never blocks scans of another. Series
 /// creation requires the exclusive guard; BeginSnapshot() therefore pins a
-/// consistent (graph, maps, hypertable fork) triple under the shared
+/// consistent (graph, directory, hypertable fork) triple under the shared
 /// guard. topology()/mutable_topology() hand out references that outlive
 /// the guard — single-threaded use only; concurrent code goes through
 /// BeginSnapshot()/MutateTopology().
-class PolyglotStore final : public query::QueryBackend {
+class PolyglotStore final : public PolyglotReads {
  public:
   explicit PolyglotStore(ts::HypertableOptions ts_options = {});
 
-  std::string name() const override { return "polyglot"; }
   const graph::PropertyGraph& topology() const override;
 
   /// Single-threaded bulk-load escape hatch; see AllInGraphStore.
@@ -48,74 +124,15 @@ class PolyglotStore final : public query::QueryBackend {
   Status MutateTopology(
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
 
-  /// Pins graph + series maps + an O(series) hypertable fork as one
+  /// Pins graph + series directory + an O(series) hypertable fork as one
   /// consistent immutable view.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
 
-  /// One registry for the whole backend; the embedded hypertable's
-  /// "hypertable.*" instruments live in it too (unless the caller injected
-  /// a registry of their own via HypertableOptions::metrics).
-  obs::MetricsRegistry* metrics() const override { return series_.metrics(); }
-  query::BackendWork Work() const override;
+  Status AppendSamples(std::span<const query::SampleWrite> samples) override;
 
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override;
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key,
-                          Timestamp t, double value) override;
-
-  Result<ts::Series> VertexSeriesRange(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval) const override;
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override;
-
-  /// Native aggregation: answered by the hypertable's chunk-pruned,
-  /// cache-assisted aggregate instead of materializing the range.
-  Result<double> VertexSeriesAggregate(graph::VertexId v,
-                                       const std::string& key,
-                                       const Interval& interval,
-                                       ts::AggKind kind) const override;
-  Result<double> EdgeSeriesAggregate(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval,
-                                     ts::AggKind kind) const override;
-
-  /// Batch aggregates fan out across the worker pool — one morsel per
-  /// series via HypertableStore::AggregateMany (the multi-entity Table 1
-  /// query shape: one aggregate per matched station/account).
-  std::vector<Result<double>> VertexSeriesAggregateBatch(
-      const std::vector<graph::VertexId>& vertices, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override;
-  std::vector<Result<double>> EdgeSeriesAggregateBatch(
-      const std::vector<graph::EdgeId>& edges, const std::string& key,
-      const Interval& interval, ts::AggKind kind) const override;
-
-  /// Native tumbling windows: the hypertable's single-pass time_bucket,
-  /// chunk-cache assisted when windows align with chunks.
-  Result<ts::Series> VertexSeriesWindowAggregate(
-      graph::VertexId v, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-  Result<ts::Series> EdgeSeriesWindowAggregate(
-      graph::EdgeId e, const std::string& key, const Interval& interval,
-      Duration width, ts::AggKind kind) const override;
-
-  /// Pushed-down series predicate: answered by the hypertable's
-  /// zone-map-assisted CountMatching, which skips (or counts) whole
-  /// compressed chunks without decoding them.
-  Result<size_t> VertexSeriesCountInRange(graph::VertexId v,
-                                          const std::string& key,
-                                          const Interval& interval,
-                                          double min_value,
-                                          double max_value) const override;
-  Result<size_t> EdgeSeriesCountInRange(graph::EdgeId e,
-                                        const std::string& key,
-                                        const Interval& interval,
-                                        double min_value,
-                                        double max_value) const override;
-
-  /// Series keys come straight from the (entity, key) → SeriesId mapping —
-  /// the polyglot glue knows its schema, unlike the all-in-graph layout.
-  std::vector<std::string> VertexSeriesKeys(graph::VertexId v) const override;
-  std::vector<std::string> EdgeSeriesKeys(graph::EdgeId e) const override;
+  /// Series keys come straight from the series directory — the polyglot
+  /// glue knows its schema, unlike the all-in-graph layout.
+  std::vector<std::string> SeriesKeys(query::EntityRef entity) const override;
 
   /// Sample-data footprint of the underlying hypertable (hot vectors vs
   /// sealed compressed bytes).
@@ -131,47 +148,34 @@ class PolyglotStore final : public query::QueryBackend {
   /// spills this hypertable's sealed chunks cold at checkpoint and
   /// re-binds catalogued chunks through EnsureSeries on recovery.
   ts::HypertableStore* series_hypertable() override { return &series_; }
-  Result<SeriesId> EnsureSeries(bool vertex, uint64_t entity,
+  Result<SeriesId> EnsureSeries(query::EntityRef entity,
                                 const std::string& key) override;
 
-  // Cross-store glue types. Internal, but public so the pinned snapshot
-  // implementation (file-local in polyglot.cc) can hold map copies.
-  struct EntityKey {
-    uint64_t id;
-    std::string key;
-    bool operator==(const EntityKey&) const = default;
-  };
-  struct EntityKeyHash {
-    size_t operator()(const EntityKey& k) const {
-      return std::hash<uint64_t>()(k.id) * 1315423911u ^
-             std::hash<std::string>()(k.key);
-    }
-  };
-  using SeriesMap = std::unordered_map<EntityKey, SeriesId, EntityKeyHash>;
-
  private:
-  /// Looks (id, key) up in the vertex or edge series map under a shared
-  /// hold of the guard (a selector rather than a map reference so callers
-  /// never touch the guarded maps outside the lock).
-  Result<SeriesId> ResolveLocked(bool vertex, uint64_t id,
-                                 const std::string& key) const;
+  const ts::HypertableStore& hypertable() const override { return series_; }
+  /// Directory lookups under a shared hold of the guard.
+  Result<SeriesId> Resolve(query::EntityRef entity,
+                           const std::string& key) const override;
+  std::vector<Result<SeriesId>> ResolveAll(
+      query::EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
+      const std::string& key) const override;
+  /// Resolves the series a sample for (entity, key) goes to, creating it
+  /// on first use; NotFound when the entity does not exist.
+  Result<SeriesId> ResolveForWrite(query::EntityRef entity,
+                                   const std::string& key);
   /// Creates the hypertable series on first use; call under the exclusive
   /// guard.
-  SeriesId ResolveOrCreate(SeriesMap* map, uint64_t id, const std::string& key,
-                           const char* scope) HYGRAPH_REQUIRES(*store_mu_);
-  /// Copy-on-write detach of the graph; call under the exclusive guard.
-  graph::PropertyGraph* Detach() HYGRAPH_REQUIRES(*store_mu_);
+  SeriesId ResolveOrCreate(query::EntityRef entity, const std::string& key)
+      HYGRAPH_REQUIRES(*store_mu_);
 
-  std::shared_ptr<graph::PropertyGraph> graph_ HYGRAPH_GUARDED_BY(*store_mu_);
   // Declared before series_ so the hypertable can adopt it at
   // construction (when the caller did not inject a registry of their own).
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   ts::HypertableStore series_;
-  SeriesMap vertex_series_ HYGRAPH_GUARDED_BY(*store_mu_);
-  SeriesMap edge_series_ HYGRAPH_GUARDED_BY(*store_mu_);
   // "concurrency.snapshot_pins" is incremented by series_.Fork() on the
   // shared registry — one pin event per snapshot, not counted twice here.
-  obs::Counter* topology_cow_copies_ = nullptr;
+  CowTopology topology_ HYGRAPH_GUARDED_BY(*store_mu_);
+  SeriesDirectory directory_ HYGRAPH_GUARDED_BY(*store_mu_);
   SyncInstruments sync_;
   // Heap-held: SharedMutex is not movable, the store is. Rank kStoreCoarse.
   std::unique_ptr<SharedMutex> store_mu_;

@@ -21,24 +21,14 @@ class CountingBackend final : public query::QueryBackend {
   graph::PropertyGraph* mutable_topology() override {
     return inner_.mutable_topology();
   }
-  Status AppendVertexSample(graph::VertexId v, const std::string& key,
-                            Timestamp t, double value) override {
-    return inner_.AppendVertexSample(v, key, t, value);
+  Status AppendSamples(std::span<const query::SampleWrite> samples) override {
+    return inner_.AppendSamples(samples);
   }
-  Status AppendEdgeSample(graph::EdgeId e, const std::string& key, Timestamp t,
-                          double value) override {
-    return inner_.AppendEdgeSample(e, key, t, value);
-  }
-  Result<ts::Series> VertexSeriesRange(
-      graph::VertexId v, const std::string& key,
-      const Interval& interval) const override {
-    ++vertex_range_calls;
-    return inner_.VertexSeriesRange(v, key, interval);
-  }
-  Result<ts::Series> EdgeSeriesRange(graph::EdgeId e, const std::string& key,
-                                     const Interval& interval) const override {
-    ++edge_range_calls;
-    return inner_.EdgeSeriesRange(e, key, interval);
+  Result<ts::Series> SeriesRange(query::EntityRef entity,
+                                 const std::string& key,
+                                 const Interval& interval) const override {
+    ++(entity.is_edge() ? edge_range_calls : vertex_range_calls);
+    return inner_.SeriesRange(entity, key, interval);
   }
 
   mutable size_t vertex_range_calls = 0;
@@ -57,8 +47,8 @@ class EvaluatorMemoTest : public ::testing::Test {
           {"Station"}, {{"name", Value("S" + std::to_string(s))}});
       for (int i = 0; i < 48; ++i) {
         ASSERT_TRUE(backend_
-                        .AppendVertexSample(v, "bikes", i * kHour,
-                                            10.0 + s + (i % 5))
+                        .AppendSample({query::EntityRef::Vertex(v), "bikes",
+                                       i * kHour, 10.0 + s + (i % 5)})
                         .ok());
       }
     }

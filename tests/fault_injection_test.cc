@@ -62,9 +62,11 @@ Status ApplyDurable(DurableStore* store, const Op& op) {
     case Op::kSetVertexProp:
       return store->SetVertexProperty(op.a, "flag", Value(true));
     case Op::kAppendVertexSample:
-      return store->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return store->AppendSample(
+          {query::EntityRef::Vertex(op.a), "temp", op.t, op.value});
     case Op::kAppendEdgeSample:
-      return store->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return store->AppendSample(
+          {query::EntityRef::Edge(op.a), "load", op.t, op.value});
   }
   return Status::Internal("unreachable");
 }
@@ -82,9 +84,11 @@ Status ApplyOracle(query::QueryBackend* backend, const Op& op) {
       return backend->mutable_topology()->SetVertexProperty(op.a, "flag",
                                                             Value(true));
     case Op::kAppendVertexSample:
-      return backend->AppendVertexSample(op.a, "temp", op.t, op.value);
+      return backend->AppendSample(
+          {query::EntityRef::Vertex(op.a), "temp", op.t, op.value});
     case Op::kAppendEdgeSample:
-      return backend->AppendEdgeSample(op.a, "load", op.t, op.value);
+      return backend->AppendSample(
+          {query::EntityRef::Edge(op.a), "load", op.t, op.value});
   }
   return Status::Internal("unreachable");
 }
@@ -187,7 +191,8 @@ TEST_P(FaultMatrixTest, RecoveredStateMatchesAckedPrefixForEveryCrashPoint) {
     // functional epoch, not a read-only wreck.
     if (recovered.topology().VertexCount() >= 1) {
       EXPECT_TRUE(
-          recovered.AppendVertexSample(0, "temp", 9000, 1.0).ok());
+          recovered.AppendSample(
+              {query::EntityRef::Vertex(0), "temp", 9000, 1.0}).ok());
     }
   }
   // The matrix must actually exercise torn tails under kKeepPrefix.

@@ -14,6 +14,7 @@
 #include "storage/all_in_graph.h"
 #include "storage/env.h"
 #include "storage/polyglot.h"
+#include "workloads/bike_sharing.h"
 
 namespace hygraph::storage {
 namespace {
@@ -67,9 +68,11 @@ class RecoveryTest : public ::testing::TestWithParam<Arch> {
     ASSERT_TRUE(store->SetEdgeProperty(*e0, "toll", Value(2.5)).ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(
-          store->AppendVertexSample(*v0, "temp", 100 + i, 20.0 + i).ok());
+          store->AppendSample(
+              {query::EntityRef::Vertex(*v0), "temp", 100 + i, 20.0 + i}).ok());
       ASSERT_TRUE(
-          store->AppendEdgeSample(*e0, "load", 200 + i, 0.5 * i).ok());
+          store->AppendSample(
+              {query::EntityRef::Edge(*e0), "load", 200 + i, 0.5 * i}).ok());
     }
   }
 
@@ -113,7 +116,8 @@ TEST_P(RecoveryTest, CheckpointPlusTailReplay) {
     Ingest(store.get());
     ASSERT_TRUE(store->Checkpoint().ok());
     // Post-checkpoint tail that only the WAL covers.
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 500, 99.0).ok());
+    ASSERT_TRUE(store->AppendSample({query::EntityRef::Vertex(0), "temp", 500,
+                                     99.0}).ok());
     ASSERT_TRUE(store->SetVertexProperty(1, "open", Value(false)).ok());
     before = Signature(*store->inner());
     seq_before = store->next_seq();
@@ -133,9 +137,11 @@ TEST_P(RecoveryTest, RepeatedCheckpointsKeepOnlyNewestSnapshot) {
   ASSERT_TRUE(store->Open().ok());
   Ingest(store.get());
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(store->AppendVertexSample(0, "temp", 500, 1.0).ok());
+  ASSERT_TRUE(store->AppendSample({query::EntityRef::Vertex(0), "temp", 500,
+                                   1.0}).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  ASSERT_TRUE(store->AppendVertexSample(0, "temp", 501, 2.0).ok());
+  ASSERT_TRUE(store->AppendSample({query::EntityRef::Vertex(0), "temp", 501,
+                                   2.0}).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
   std::vector<std::string> children;
   ASSERT_TRUE(env_->GetChildren(dir_, &children).ok());
@@ -188,7 +194,8 @@ TEST_P(RecoveryTest, AutoCheckpointTriggersAndDefersAfterRemovals) {
   // Removals make ids sparse; subsequent auto-checkpoints defer silently.
   ASSERT_TRUE(store->RemoveVertex(1).ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(store->AppendVertexSample(0, "temp", 1000 + i, 1.0).ok());
+    ASSERT_TRUE(store->AppendSample({query::EntityRef::Vertex(0), "temp",
+                                     1000 + i, 1.0}).ok());
   }
   EXPECT_TRUE(store->background_error().ok());
 }
@@ -213,7 +220,8 @@ TEST_P(RecoveryTest, TornWalTailIsSalvagedOnOpen) {
   EXPECT_EQ(store->recovery().wal_records_replayed, 26u);
   // The salvaged state is the full state minus exactly the last mutation
   // (an edge sample): replaying it reproduces the original state.
-  ASSERT_TRUE(store->AppendEdgeSample(0, "load", 209, 0.5 * 9).ok());
+  ASSERT_TRUE(store->AppendSample({query::EntityRef::Edge(0), "load", 209,
+                                   0.5 * 9}).ok());
   EXPECT_EQ(Signature(*store->inner()), before);
 }
 
@@ -259,7 +267,8 @@ TEST_P(RecoveryTest, SnapshotTextRoundTripsBackendState) {
   ASSERT_TRUE(RestoreFromSnapshotText(*text, restored.get()).ok());
   EXPECT_EQ(Signature(*restored), *text);
   // Series round-trip specifically.
-  auto range = restored->VertexSeriesRange(0, "temp", Interval::All());
+  auto range = restored->SeriesRange(query::EntityRef::Vertex(0), "temp",
+                                     Interval::All());
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->samples().size(), 10u);
   EXPECT_DOUBLE_EQ(range->samples()[3].value, 23.0);
@@ -325,9 +334,12 @@ TEST_P(RecoveryTest, MixedBatchSurvivesReopenBitIdentically) {
   }
 
   const auto check = [&](const DurableStore& store) {
-    auto temp = store.VertexSeriesRange(0, "temp", Interval::All());
-    auto load = store.EdgeSeriesRange(0, "load", Interval::All());
-    auto odd = store.VertexSeriesRange(1, "odd key", Interval::All());
+    auto temp = store.SeriesRange(query::EntityRef::Vertex(0), "temp",
+                                  Interval::All());
+    auto load = store.SeriesRange(query::EntityRef::Edge(0), "load",
+                                  Interval::All());
+    auto odd = store.SeriesRange(query::EntityRef::Vertex(1), "odd key",
+                                 Interval::All());
     ASSERT_TRUE(temp.ok() && load.ok() && odd.ok());
     ASSERT_EQ(temp->size(), kValues);
     ASSERT_EQ(load->size(), kValues);
@@ -382,7 +394,8 @@ TEST_P(RecoveryTest, BatchStopsAtUnknownIdAndReplaysTheSamePrefix) {
                {{EntityRef::kVertex, 99}, "temp", 3, 3.0},
                {{EntityRef::kVertex, 0}, "temp", 4, 4.0}}));
     EXPECT_EQ(s.code(), StatusCode::kNotFound) << s.ToString();
-    auto series = store->VertexSeriesRange(0, "temp", Interval::All());
+    auto series = store->SeriesRange(query::EntityRef::Vertex(0), "temp",
+                                     Interval::All());
     ASSERT_TRUE(series.ok());
     ASSERT_EQ(series->size(), 2u);
     EXPECT_EQ(series->samples()[1].t, 2);
@@ -423,7 +436,8 @@ TEST_P(RecoveryTest, TornFinalBatchIsDroppedWhole) {
   ASSERT_TRUE(store->Open().ok());
   EXPECT_TRUE(store->recovery().wal_torn_tail);
   EXPECT_EQ(store->recovery().wal_records_replayed, 2u);
-  EXPECT_TRUE(store->VertexSeriesKeys(0) == std::vector<std::string>{"temp"});
+  EXPECT_TRUE(store->SeriesKeys(query::EntityRef::Vertex(0)) ==
+              std::vector<std::string>{"temp"});
   EXPECT_EQ(Signature(*store->inner()), before);
 }
 
@@ -479,8 +493,10 @@ TEST_P(RecoveryTest, PerSampleRecordsFromEarlierBuildsStillReplay) {
   auto store = MakeStore();
   ASSERT_TRUE(store->Open().ok());
   EXPECT_EQ(store->recovery().wal_records_replayed, 5u);
-  auto temp = store->VertexSeriesRange(0, "temp", Interval::All());
-  auto load = store->EdgeSeriesRange(0, "load", Interval::All());
+  auto temp = store->SeriesRange(query::EntityRef::Vertex(0), "temp",
+                                 Interval::All());
+  auto load = store->SeriesRange(query::EntityRef::Edge(0), "load",
+                                 Interval::All());
   ASSERT_TRUE(temp.ok() && load.ok());
   ASSERT_EQ(temp->size(), 1u);
   EXPECT_EQ(temp->samples()[0].value, 23.4);
@@ -492,9 +508,105 @@ TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {
   auto store = MakeStore();
   EXPECT_EQ(store->AddVertex({}, {}).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store->AppendVertexSample(0, "k", 1, 1.0).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      store->AppendSample({query::EntityRef::Vertex(0), "k", 1, 1.0}).code(),
+      StatusCode::kFailedPrecondition);
   EXPECT_EQ(store->Checkpoint().code(), StatusCode::kFailedPrecondition);
+}
+
+// Runs `read` against the durable store and against the store it wraps and
+// expects the same answer for the same storage work. The inner store is
+// read once first, so both measured calls find the same warm caches.
+template <typename Read>
+query::BackendWork ExpectForwarded(const DurableStore& durable,
+                                   const char* what, Read read) {
+  const query::QueryBackend& inner = *durable.inner();
+  (void)read(inner);
+  const query::BackendWork durable_before = durable.Work();
+  const auto via_durable = read(durable);
+  const query::BackendWork via_durable_work =
+      durable.Work().Delta(durable_before);
+  const query::BackendWork inner_before = inner.Work();
+  const auto via_inner = read(inner);
+  const query::BackendWork via_inner_work = inner.Work().Delta(inner_before);
+  EXPECT_EQ(via_durable, via_inner) << what;
+  EXPECT_EQ(via_durable_work.chunks_zonemap_skipped,
+            via_inner_work.chunks_zonemap_skipped)
+      << what;
+  EXPECT_EQ(via_durable_work.chunks_cache_hits,
+            via_inner_work.chunks_cache_hits)
+      << what;
+  EXPECT_EQ(via_durable_work.series_points_scanned,
+            via_inner_work.series_points_scanned)
+      << what;
+  return via_inner_work;
+}
+
+// A read DurableStore does not forward falls back to QueryBackend's generic
+// default (materialize, then fold or count) and skips the hypertable's
+// batch, cache and zone-map paths; the work counters expose that even where
+// the answer happens to match.
+TEST(DurableForwardingTest, EveryFoldedReadTakesTheInnerStorePath) {
+  char tmpl[] = "/tmp/hygraph_forwarding_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  {
+    DurableOptions options;
+    options.sync_wal = false;
+    DurableStore store(Env::Default(), root + "/store",
+                       std::make_unique<PolyglotStore>(), options);
+    ASSERT_TRUE(store.Open().ok());
+    workloads::BikeSharingConfig config;
+    config.stations = 6;
+    config.days = 4;
+    config.trips_per_station = 2;
+    auto dataset = workloads::GenerateBikeSharing(config);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    auto stations = workloads::LoadIntoBackend(*dataset, &store);
+    ASSERT_TRUE(stations.ok()) << stations.status().ToString();
+
+    using query::EntityRef;
+    const EntityRef station = EntityRef::Vertex(stations->front());
+    const EntityRef trip = EntityRef::Edge(0);
+    const Interval span{dataset->start(), dataset->end()};
+    using Backend = query::QueryBackend;
+    ExpectForwarded(store, "SeriesRange(vertex)", [&](const Backend& b) {
+      return b.SeriesRange(station, "bikes", span).value_or(ts::Series());
+    });
+    ExpectForwarded(store, "SeriesRange(edge)", [&](const Backend& b) {
+      return b.SeriesRange(trip, "trips", span).value_or(ts::Series());
+    });
+    ExpectForwarded(store, "SeriesAggregate", [&](const Backend& b) {
+      return b.SeriesAggregate(station, "bikes", span, ts::AggKind::kAvg)
+          .value_or(-1.0);
+    });
+    ExpectForwarded(store, "SeriesAggregateBatch", [&](const Backend& b) {
+      std::vector<double> out;
+      for (const auto& r : b.SeriesAggregateBatch(
+               EntityRef::kVertex, *stations, "bikes", span,
+               ts::AggKind::kMax)) {
+        out.push_back(r.value_or(-1.0));
+      }
+      return out;
+    });
+    ExpectForwarded(store, "SeriesWindowAggregate", [&](const Backend& b) {
+      return b.SeriesWindowAggregate(station, "bikes", span, kDay,
+                                     ts::AggKind::kAvg)
+          .value_or(ts::Series());
+    });
+    // No station ever reports a negative bike count, so every sealed chunk
+    // is ruled out by its zone map without a decode.
+    const query::BackendWork count_work = ExpectForwarded(
+        store, "SeriesCountInRange", [&](const Backend& b) {
+          return b.SeriesCountInRange(station, "bikes", span, -1000.0, -1.0)
+              .value_or(size_t{999});
+        });
+    EXPECT_GT(count_work.chunks_zonemap_skipped, 0u);
+    ExpectForwarded(store, "SeriesKeys", [&](const Backend& b) {
+      return b.SeriesKeys(station);
+    });
+  }
+  std::system(("rm -rf " + root).c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,7 +50,8 @@ class ServerTest : public ::testing::Test {
         store_->AddVertex({"Station"}, {{"city", Value("munich")}}).ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(
-          store_->AppendVertexSample(vertex_, "load", 1000 * i, double(i))
+          store_->AppendSample(
+              {query::EntityRef::Vertex(vertex_), "load", 1000 * i, double(i)})
               .ok());
     }
   }
@@ -222,7 +223,8 @@ TEST_F(ServerTest, PinnedSessionStaysRepeatableAcrossCheckpointColdSpill) {
   auto v = tiered->AddVertex({"Station"}, {{"city", Value("berlin")}});
   ASSERT_TRUE(v.ok());
   for (int i = 0; i < 48; ++i) {
-    ASSERT_TRUE(tiered->AppendVertexSample(*v, "load", i * 4, 0.5 * i).ok());
+    ASSERT_TRUE(tiered->AppendSample({query::EntityRef::Vertex(*v), "load",
+                                      i * 4, 0.5 * i}).ok());
   }
 
   HgqlServer server(tiered.get(), tiered.get(), ServerOptions{});
@@ -531,8 +533,10 @@ TEST_F(ServerTest, AppendFrameIsOneWalRecordAppliedUpToFirstFailure) {
                             sample(SampleUpdate::kVertex, vertex_, "mix", 2)})
                   .ok());
   EXPECT_EQ(Counter(server->MergedMetrics(), "wal.appends"), appends + 1);
-  auto vseries = store_->VertexSeriesRange(vertex_, "mix", Interval::All());
-  auto eseries = store_->EdgeSeriesRange(*edge, "mix", Interval::All());
+  auto vseries = store_->SeriesRange(query::EntityRef::Vertex(vertex_), "mix",
+                                     Interval::All());
+  auto eseries = store_->SeriesRange(query::EntityRef::Edge(*edge), "mix",
+                                     Interval::All());
   ASSERT_TRUE(vseries.ok() && eseries.ok());
   EXPECT_EQ(vseries->size(), 2u);
   EXPECT_EQ(eseries->size(), 1u);
@@ -546,7 +550,8 @@ TEST_F(ServerTest, AppendFrameIsOneWalRecordAppliedUpToFirstFailure) {
                       sample(SampleUpdate::kVertex, vertex_, "tail", 3)});
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(Counter(server->MergedMetrics(), "wal.appends"), appends + 1);
-  auto tail = store_->VertexSeriesRange(vertex_, "tail", Interval::All());
+  auto tail = store_->SeriesRange(query::EntityRef::Vertex(vertex_), "tail",
+                                  Interval::All());
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail->size(), 1u);
   EXPECT_EQ(tail->samples()[0].t, 1);

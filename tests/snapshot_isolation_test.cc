@@ -65,10 +65,9 @@ void MutateLive(QueryBackend* live, graph::VertexId station,
                   })
                   .ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(live->AppendVertexSample(station, "bikes",
-                                         from + static_cast<Timestamp>(i) * 60,
-                                         static_cast<double>(i))
-                    .ok());
+    ASSERT_TRUE(live->AppendSample({query::EntityRef::Vertex(station), "bikes",
+                                    from + static_cast<Timestamp>(i) * 60,
+                                    static_cast<double>(i)}).ok());
   }
 }
 
@@ -132,7 +131,8 @@ void RunPinnedViewFrozenUnderConcurrentMutation(QueryBackend* live) {
                       })
                       .ok());
       ASSERT_TRUE(
-          live->AppendVertexSample(station, "bikes", t, 1.0).ok());
+          live->AppendSample(
+              {query::EntityRef::Vertex(station), "bikes", t, 1.0}).ok());
       t += 60;
     }
   });
@@ -171,9 +171,9 @@ TEST(SnapshotIsolationTest, DurableForwardsPinnedView) {
   ASSERT_TRUE(v.ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(store
-                    .AppendVertexSample(*v, "bikes",
-                                        static_cast<Timestamp>(i) * 60,
-                                        static_cast<double>(i))
+                    .AppendSample({query::EntityRef::Vertex(*v), "bikes",
+                                   static_cast<Timestamp>(i) * 60,
+                                   static_cast<double>(i)})
                     .ok());
   }
 
@@ -181,7 +181,8 @@ TEST(SnapshotIsolationTest, DurableForwardsPinnedView) {
   ASSERT_NE(snapshot, nullptr);
   const std::string pinned = Signature(*snapshot);
 
-  ASSERT_TRUE(store.AppendVertexSample(*v, "bikes", 6000, 99.0).ok());
+  ASSERT_TRUE(store.AppendSample({query::EntityRef::Vertex(*v), "bikes", 6000,
+                                  99.0}).ok());
   auto v2 = store.AddVertex({"Station"}, {{"name", Value("S1")}});
   ASSERT_TRUE(v2.ok());
 
@@ -204,11 +205,13 @@ void RunSnapshotIsReadOnly(QueryBackend* live) {
   // exactly what a buggy caller could do, so the runtime guard must hold.
   auto* writable = const_cast<QueryBackend*>(snapshot.get());
 
-  Status append = writable->AppendVertexSample(stations->front(), "bikes",
-                                               dataset.end(), 1.0);
+  Status append = writable->AppendSample(
+      {query::EntityRef::Vertex(stations->front()), "bikes", dataset.end(),
+       1.0});
   EXPECT_EQ(append.code(), StatusCode::kFailedPrecondition)
       << append.ToString();
-  Status edge_append = writable->AppendEdgeSample(0, "trips", 0, 1.0);
+  Status edge_append = writable->AppendSample(
+      {query::EntityRef::Edge(0), "trips", 0, 1.0});
   EXPECT_EQ(edge_append.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(writable->mutable_topology(), nullptr);
   Status mutate = writable->MutateTopology([](graph::PropertyGraph*) {
