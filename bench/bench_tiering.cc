@@ -4,6 +4,12 @@
 //   * checkpoint spill throughput (sealed samples moved to segment files)
 //   * recovery (Open) time as a function of the cold fraction — the
 //     tentpole claim is that recovery cost tracks HOT data, not history
+//   * a many-series checkpoint shaped like the bike-sharing trip edges
+//     (600 series of 14 one-sample daily chunks): checkpoint time, segment
+//     files created and fsyncs per checkpoint. Exits 1 when a checkpoint
+//     issues more than one segment fsync — a structural gate (the tier
+//     keeps one segment file per epoch), not a timing one, so it also
+//     holds under --smoke
 //
 // Results go to stdout and to BENCH_tiering.json in the working directory.
 
@@ -178,6 +184,62 @@ void BenchRecoveryVsColdFraction() {
   }
 }
 
+uint64_t CounterValue(const DurableStore& store, const std::string& name) {
+  const auto snap = store.metrics()->Snapshot();
+  auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// Returns false when the checkpoint fsynced more than one segment file.
+bool BenchManySeriesCheckpoint() {
+  PrintHeader("Many-series checkpoint (600 series x 14 daily chunks)");
+  constexpr int kSeries = 600;
+  constexpr int kDays = 15;  // the 15th day's chunk stays hot
+  constexpr Timestamp kDay = 86'400'000;
+  const std::string dir = FreshDir();
+  ts::HypertableOptions o;
+  o.chunk_duration = kDay;
+  auto store = std::make_unique<DurableStore>(
+      Env::Default(), dir + "/store",
+      std::make_unique<storage::PolyglotStore>(o), Tiered(64u << 20));
+  if (!store->Open().ok()) std::exit(1);
+  for (int s = 0; s < kSeries; ++s) {
+    if (!store->AddVertex({"Dock"}, {}).ok()) std::exit(1);
+    std::vector<query::SampleWrite> batch;
+    for (int d = 0; d < kDays; ++d) {
+      batch.push_back({query::EntityRef::Vertex(static_cast<uint64_t>(s)),
+                       "trips", d * kDay + s, double(d + s)});
+    }
+    if (!store->AppendSamples(batch).ok()) std::exit(1);
+  }
+  const uint64_t files_before =
+      CounterValue(*store, "coldtier.segment_files_created");
+  const uint64_t syncs_before = CounterValue(*store, "coldtier.segment_syncs");
+  const double ms = TimeMs([&] {
+    if (!store->Checkpoint().ok()) std::exit(1);
+  });
+  const uint64_t spilled =
+      store->inner()->series_hypertable()->stats().cold_chunks_spilled;
+  const uint64_t files =
+      CounterValue(*store, "coldtier.segment_files_created") - files_before;
+  const uint64_t syncs =
+      CounterValue(*store, "coldtier.segment_syncs") - syncs_before;
+  Record("many_series_checkpoint", ms, "ms");
+  Record("many_series_chunks_spilled", double(spilled), "chunks");
+  Record("many_series_segment_files_created", double(files), "files");
+  Record("many_series_fsyncs_per_checkpoint", double(syncs), "fsyncs");
+  store.reset();
+  std::system(("rm -rf " + dir).c_str());
+  if (syncs > 1) {
+    std::fprintf(stderr,
+                 "many-series checkpoint issued %llu segment fsyncs; the "
+                 "cold tier must sync one file per checkpoint\n",
+                 static_cast<unsigned long long>(syncs));
+    return false;
+  }
+  return true;
+}
+
 void WriteJson() {
   FILE* f = std::fopen("BENCH_tiering.json", "w");
   if (f == nullptr) {
@@ -207,6 +269,7 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchScanVsCacheBudget();
   hygraph::bench::BenchSpillThroughput();
   hygraph::bench::BenchRecoveryVsColdFraction();
+  const bool one_sync = hygraph::bench::BenchManySeriesCheckpoint();
   hygraph::bench::WriteJson();
-  return 0;
+  return one_sync ? 0 : 1;
 }

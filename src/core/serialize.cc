@@ -254,20 +254,27 @@ Result<std::map<SeriesId, SeriesId>> CanonicalPoolOrder(const HyGraph& hg) {
 
 }  // namespace
 
-std::string EncodeField(const std::string& raw) {
+void AppendEncodedField(std::string* out, std::string_view raw) {
   static const char* kHex = "0123456789ABCDEF";
-  std::string out;
-  out.reserve(raw.size() + 2);
+  if (raw.empty()) {
+    out->append("%00");  // empty fields stay visible
+    return;
+  }
   for (unsigned char c : raw) {
     if (c <= ' ' || c == '%' || c == 0x7f) {
-      out.push_back('%');
-      out.push_back(kHex[c >> 4]);
-      out.push_back(kHex[c & 0xf]);
+      out->push_back('%');
+      out->push_back(kHex[c >> 4]);
+      out->push_back(kHex[c & 0xf]);
     } else {
-      out.push_back(static_cast<char>(c));
+      out->push_back(static_cast<char>(c));
     }
   }
-  if (out.empty()) out = "%00";  // empty fields stay visible
+}
+
+std::string EncodeField(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  AppendEncodedField(&out, raw);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define HYGRAPH_CORE_SERIALIZE_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/hygraph.h"
@@ -53,8 +54,10 @@ Result<HyGraph> Deserialize(const std::string& text);
 Status SaveToFile(const HyGraph& hg, const std::string& path);
 Result<HyGraph> LoadFromFile(const std::string& path);
 
-/// Percent-encoding helpers (exposed for tests).
+/// Percent-encoding helpers (exposed for tests). AppendEncodedField is
+/// EncodeField without the temporary: it appends the encoding to `*out`.
 std::string EncodeField(const std::string& raw);
+void AppendEncodedField(std::string* out, std::string_view raw);
 Result<std::string> DecodeField(const std::string& encoded);
 
 }  // namespace hygraph::core

@@ -420,7 +420,19 @@ DurableStore::DurableStore(Env* env, std::string dir,
       degraded_gauge_(metrics_->gauge("durable.degraded")),
       retry_policy_(options_.retry, options_.retry_sleep),
       append_mu_(LockRank::kDurableAppend,
-                 SyncInstruments::ForRegistry(metrics_.get())) {}
+                 SyncInstruments::ForRegistry(metrics_.get())) {
+  const auto stage = [&](const char* name) {
+    return metrics_->histogram(std::string("durable.checkpoint_stage_nanos.") +
+                               name);
+  };
+  stage_nanos_.spill = stage("spill");
+  stage_nanos_.segment_sync = stage("segment_sync");
+  stage_nanos_.snapshot_build = stage("snapshot_build");
+  stage_nanos_.catalog = stage("catalog");
+  stage_nanos_.install = stage("install");
+  stage_nanos_.gc = stage("gc");
+  stage_nanos_.wal_rotate = stage("wal_rotate");
+}
 
 DurableStore::~DurableStore() {
   if (wal_ != nullptr) HYGRAPH_IGNORE_RESULT(wal_->Close());
@@ -894,6 +906,14 @@ Status DurableStore::CheckpointImpl() {
   // work while degraded (and with a dead wal_) — it is exactly how
   // TryExitDegraded restores the durability contract.
   HYGRAPH_RETURN_IF_ERROR(RequireOpen());
+  const obs::Clock* clock = obs::SystemClock::Instance();
+  uint64_t stage_start = clock->NowNanos();
+  // Ends the running stage: records its time and starts the next one.
+  const auto end_stage = [&](obs::Histogram* stage) {
+    const uint64_t now = clock->NowNanos();
+    stage->Record(now - stage_start);
+    stage_start = now;
+  };
 
   // Tiered checkpoint prologue (DESIGN.md §15): spill every sealed chunk
   // into the cold tier and make the segment bytes durable, so the snapshot
@@ -904,26 +924,33 @@ Status DurableStore::CheckpointImpl() {
   ts::HypertableStore* tiered_ht =
       cold_tier_ != nullptr ? inner_->series_hypertable() : nullptr;
   if (tiered_ht != nullptr) {
-    // Both steps absorb transient I/O hiccups like the snapshot write
-    // below does. Re-running a partial spill is safe (already-cold chunks
-    // are skipped; a failed Put has no effect on the chunk), and so is
-    // re-running the segment fsync: until the WAL epoch rotates at the
-    // very end of this function, every spilled sample is still covered by
-    // snapshot + WAL, so a sync lost to fsyncgate can only orphan
-    // unreferenced segment bytes, never acknowledged data.
+    // Every series spills into the tier's one active segment file, so the
+    // sync below is one fsync however many series spilled. Both steps
+    // absorb transient I/O hiccups like the snapshot write below does.
+    // Re-running a partial spill is safe: already-cold chunks are skipped,
+    // and a failed Put leaves its chunk resident and retires the torn
+    // file. Re-running the sync is safe because it never re-fsyncs a
+    // handle whose fsync failed — under fsyncgate that second fsync could
+    // report OK after the kernel dropped the dirty pages, and the catalog
+    // would then publish records whose bytes are gone just before the WAL
+    // rotation below drops the only other copy. SyncSegments instead
+    // retires the file and rewrites the pending records into a fresh one.
     HYGRAPH_RETURN_IF_ERROR(retry_policy_.Run(
         [&] {
           auto spilled = tiered_ht->SpillSealed();
           return spilled.ok() ? Status::OK() : spilled.status();
         },
         retries_));
+    end_stage(stage_nanos_.spill);
     HYGRAPH_RETURN_IF_ERROR(
         retry_policy_.Run([&] { return cold_tier_->SyncSegments(); },
                           retries_));
+    end_stage(stage_nanos_.segment_sync);
   }
 
   auto text = BuildSnapshotTextImpl(*inner_, tiered_ht);
   if (!text.ok()) return text.status();
+  end_stage(stage_nanos_.snapshot_build);
   const uint64_t snap_seq = next_seq_ - 1;
   if (tiered_ht != nullptr) {
     // Publish the live cold set under the same sequence the snapshot will
@@ -933,6 +960,7 @@ Status DurableStore::CheckpointImpl() {
     // scratch before the atomic rename.
     HYGRAPH_RETURN_IF_ERROR(retry_policy_.Run(
         [&] { return cold_tier_->WriteCatalog(snap_seq); }, retries_));
+    end_stage(stage_nanos_.catalog);
   }
 
   // Write-temp + fsync + atomic rename: the snapshot either installs
@@ -950,6 +978,7 @@ Status DurableStore::CheckpointImpl() {
         return env_->RenameFile(tmp, SnapshotPath(snap_seq));
       },
       retries_));
+  end_stage(stage_nanos_.install);
 
   // The new snapshot is durable; everything from here is garbage
   // collection, and a crash merely leaves work for the next recovery.
@@ -976,6 +1005,7 @@ Status DurableStore::CheckpointImpl() {
     HYGRAPH_RETURN_IF_ERROR(retry_policy_.Run(
         [&] { return cold_tier_->GcCatalogs(snap_seq); }, retries_));
   }
+  end_stage(stage_nanos_.gc);
 
   // Fresh WAL epoch on top of the installed snapshot. The old writer (when
   // still present) is abandoned best-effort — its records are all covered
@@ -1009,6 +1039,7 @@ Status DurableStore::CheckpointImpl() {
     degraded_error_ = Status::OK();
     degraded_gauge_->Set(0.0);
   }
+  end_stage(stage_nanos_.wal_rotate);
   return Status::OK();
 }
 

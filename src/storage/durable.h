@@ -302,6 +302,21 @@ class DurableStore final : public query::QueryBackend {
   obs::Counter* retries_ = nullptr;
   obs::Counter* wal_rebuilds_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;
+  /// durable.checkpoint_stage_nanos.<stage>: the stages tile
+  /// CheckpointImpl, so a successful checkpoint's stage times add up to
+  /// its durable.checkpoint_nanos sample (less the entry checks). The
+  /// tiered-only stages (spill, segment_sync, catalog) record nothing on
+  /// an untiered store.
+  struct CheckpointStages {
+    obs::Histogram* spill = nullptr;
+    obs::Histogram* segment_sync = nullptr;
+    obs::Histogram* snapshot_build = nullptr;
+    obs::Histogram* catalog = nullptr;
+    obs::Histogram* install = nullptr;
+    obs::Histogram* gc = nullptr;
+    obs::Histogram* wal_rotate = nullptr;
+  };
+  CheckpointStages stage_nanos_;
   RetryPolicy retry_policy_;
   /// Serializes Log()+apply, Checkpoint and SyncWal's writer lookup. Top
   /// of the store's lock hierarchy (rank kDurableAppend): held while

@@ -1,5 +1,6 @@
 #include "storage/fault_injection_env.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace hygraph::storage {
@@ -27,10 +28,11 @@ class TrackedWritableFile final : public WritableFile {
 
   Status Append(const std::string& data) override {
     bool short_write = false;
-    Status gate = env_->BeginOp(&short_write);
+    Status gate = env_->BeginOp(FaultInjectionEnv::OpKind::kAppend,
+                                &short_write);
     if (!gate.ok()) {
       if (short_write && !data.empty()) {
-        // The crash lands mid-write: a deterministic prefix reaches the
+        // The fault lands mid-write: a deterministic prefix reaches the
         // file (and stays un-synced), producing a torn tail.
         const std::string partial = data.substr(0, (data.size() + 1) / 2);
         if (base_->Append(partial).ok()) state_->size += partial.size();
@@ -43,12 +45,22 @@ class TrackedWritableFile final : public WritableFile {
   }
 
   Status Sync() override {
-    HYGRAPH_RETURN_IF_ERROR(env_->BeginOp());
+    bool dropped_pages = false;
+    Status gate =
+        env_->BeginOp(FaultInjectionEnv::OpKind::kSync, &dropped_pages);
+    if (!gate.ok()) {
+      if (dropped_pages) {
+        // fsyncgate: the un-synced bytes will never become durable, even
+        // though a later Sync of this file may report success.
+        state_->sync_cap.store(state_->synced_size.load());
+      }
+      return gate;
+    }
     // Snapshot before the fsync: bytes appended while the sync is in
     // flight are not covered by it.
     const uint64_t covered = state_->size.load();
     HYGRAPH_RETURN_IF_ERROR(base_->Sync());
-    state_->synced_size.store(covered);
+    state_->synced_size.store(std::min(covered, state_->sync_cap.load()));
     return Status::OK();
   }
 
@@ -65,13 +77,13 @@ class TrackedWritableFile final : public WritableFile {
   std::shared_ptr<FaultInjectionEnv::FileState> state_;
 };
 
-Status FaultInjectionEnv::BeginOp(bool* short_write) {
+Status FaultInjectionEnv::BeginOp(OpKind kind, bool* partial) {
   MutexLock lock(mu_);
   if (crashed_) return CrashedStatus();
   ++op_count_;
   if (armed_ && op_count_ > crash_after_) {
     crashed_ = true;
-    if (short_write != nullptr) *short_write = true;
+    if (partial != nullptr && kind == OpKind::kAppend) *partial = true;
     return CrashedStatus();
   }
   // Transient modes come strictly after the terminal check: a scheduled
@@ -79,6 +91,20 @@ Status FaultInjectionEnv::BeginOp(bool* short_write) {
   // whether or not transient faults are armed, so PR 1 crash schedules
   // are unaffected. A transient failure has no side effect (no torn
   // write), matching an EINTR-style hiccup rather than power loss.
+  // The one-shot faults count down over their own kind of op only, and
+  // unlike the modes below they leave a side effect (see the header).
+  std::optional<uint64_t>& one_shot =
+      kind == OpKind::kAppend ? torn_append_in_ : fsyncgate_in_;
+  if (kind != OpKind::kOther && one_shot.has_value()) {
+    if (*one_shot > 0) {
+      --*one_shot;
+    } else {
+      one_shot.reset();
+      ++transient_faults_;
+      if (partial != nullptr) *partial = true;
+      return TransientStatus();
+    }
+  }
   if (transient_fail_next_ > 0) {
     --transient_fail_next_;
     ++transient_faults_;

@@ -42,6 +42,10 @@ namespace hygraph::storage {
 ///   SetTransientProbability): the "I/O hiccup" model — a mutating
 ///   operation fails with kIOError but performs NO side effect, and the
 ///   env immediately heals, so a retry of the same operation can succeed.
+///   Two one-shot transient faults do leave a side effect, because the
+///   caller must cope with it: SetTornAppendAfter (a failed Append that
+///   wrote a torn prefix) and SetFsyncgateAfter (a failed Sync that
+///   dropped the file's dirty pages).
 ///   This is what RetryPolicy and DurableStore's degraded-mode logic are
 ///   tested against. Transient faults never fire while crashed, and a
 ///   terminal crash scheduled for an op takes precedence over any
@@ -119,12 +123,32 @@ class FaultInjectionEnv final : public Env {
     transient_p_ = p;
     transient_rng_.emplace(seed);
   }
+  /// One-shot torn append: the Append after `skip` more Appends writes a
+  /// deterministic prefix (half the data, rounded up, left un-synced) and
+  /// fails with kIOError; the env stays up. Models a short write that
+  /// errors part way, as a full disk or an I/O error mid-write does.
+  void SetTornAppendAfter(uint64_t skip) {
+    MutexLock lock(mu_);
+    torn_append_in_ = skip;
+  }
+  /// One-shot fsyncgate: the Sync after `skip` more Syncs fails with
+  /// kIOError and the kernel "drops" the file's dirty pages — its durable
+  /// prefix is capped where it stood, so later Syncs of that file report
+  /// OK without making anything past the cap durable (the Linux
+  /// behaviour behind the fsyncgate reports). DropUnsyncedData then
+  /// truncates the file to the cap.
+  void SetFsyncgateAfter(uint64_t skip) {
+    MutexLock lock(mu_);
+    fsyncgate_in_ = skip;
+  }
   /// Disables all transient fault modes.
   void ClearTransientFaults() {
     MutexLock lock(mu_);
     transient_fail_next_ = 0;
     transient_every_n_ = 0;
     transient_p_ = 0.0;
+    torn_append_in_.reset();
+    fsyncgate_in_.reset();
   }
   /// Transient faults injected so far.
   uint64_t transient_faults() const {
@@ -158,13 +182,18 @@ class FaultInjectionEnv final : public Env {
     // publishes synced_size after it, while Append keeps advancing size.
     std::atomic<uint64_t> size{0};         ///< bytes appended so far
     std::atomic<uint64_t> synced_size{0};  ///< bytes guaranteed durable
+    /// Ceiling on synced_size once an fsyncgate fault dropped pages.
+    std::atomic<uint64_t> sync_cap{UINT64_MAX};
   };
 
+  enum class OpKind { kAppend, kSync, kOther };
+
   /// Returns OK if the operation may proceed; advances the op counter and
-  /// flips into the crashed state at the configured point. When the crash
-  /// lands on this very op, `*short_write` (if non-null) is set so an
-  /// Append can persist a torn prefix before failing. Takes mu_ itself.
-  Status BeginOp(bool* short_write = nullptr);
+  /// flips into the crashed state at the configured point. `*partial` (if
+  /// non-null) is set when the failing op has a side effect: an Append
+  /// persists a torn prefix (crash point or torn-append fault), a Sync
+  /// caps the file's durable prefix (fsyncgate fault). Takes mu_ itself.
+  Status BeginOp(OpKind kind = OpKind::kOther, bool* partial = nullptr);
 
   Env* base_;
   /// Guards all fault bookkeeping below (rank kEnvState, a leaf):
@@ -181,6 +210,8 @@ class FaultInjectionEnv final : public Env {
   double transient_p_ HYGRAPH_GUARDED_BY(mu_) = 0.0;
   std::optional<Rng> transient_rng_ HYGRAPH_GUARDED_BY(mu_);
   uint64_t transient_faults_ HYGRAPH_GUARDED_BY(mu_) = 0;
+  std::optional<uint64_t> torn_append_in_ HYGRAPH_GUARDED_BY(mu_);
+  std::optional<uint64_t> fsyncgate_in_ HYGRAPH_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<FileState>> files_
       HYGRAPH_GUARDED_BY(mu_);
 };

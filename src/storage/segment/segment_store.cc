@@ -1,6 +1,7 @@
 #include "storage/segment/segment_store.h"
 
 #include <bit>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -26,10 +27,32 @@ constexpr uint64_t kMaxCatalogEntries = 1u << 22;
 uint64_t DoubleBits(double v) { return std::bit_cast<uint64_t>(v); }
 double BitsDouble(uint64_t bits) { return std::bit_cast<double>(bits); }
 
-void AppendHex64(std::string* out, uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  out->append(buf);
+/// Appends `v` as exactly `digits` lowercase hex digits, zero-padded (the
+/// "%016" PRIx64 / "%08x" forms without a format-string round trip).
+void AppendHex(std::string* out, uint64_t v, int digits) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[16];
+  for (int i = digits - 1; i >= 0; --i) {
+    buf[i] = kDigits[v & 0xfu];
+    v >>= 4;
+  }
+  out->append(buf, static_cast<size_t>(digits));
+}
+
+/// Catalog field writers: a separating space, then the value — an
+/// integer in decimal, or a double as its 16-hex-digit bit pattern.
+template <typename Int>
+void AppendIntField(std::string* out, Int v) {
+  char buf[24];
+  buf[0] = ' ';
+  const auto [end, ec] = std::to_chars(buf + 1, buf + sizeof(buf), v);
+  (void)ec;  // 23 chars hold any 64-bit integer
+  out->append(buf, end);
+}
+
+void AppendBitsField(std::string* out, double v) {
+  out->push_back(' ');
+  AppendHex(out, DoubleBits(v), 16);
 }
 
 /// strtoull/strtoll wrappers that insist the whole token parses — partial
@@ -65,40 +88,49 @@ bool ParseDoubleBits(const std::string& tok, double* out) {
 }  // namespace
 
 std::string EncodeColdCatalog(const std::vector<ColdCatalogEntry>& entries) {
-  std::string body;
-  body += kCatalogMagic;
-  body += "\nchunks " + std::to_string(entries.size()) + "\n";
+  // One buffer for the whole catalog: a line's fixed fields take at most
+  // 320 bytes (eight 20-digit integers, eight 16-digit hex words, spaces),
+  // and percent-encoding at most triples a name.
+  size_t reserve = 64;
   for (const ColdCatalogEntry& e : entries) {
-    body += "chunk " + core::EncodeField(e.series) + " " +
-            std::to_string(e.chunk_start) + " " + core::EncodeField(e.file) +
-            " " + std::to_string(e.offset) + " " + std::to_string(e.length) +
-            " " + std::to_string(e.meta.count) + " " +
-            std::to_string(e.meta.min_t) + " " + std::to_string(e.meta.max_t) +
-            " ";
-    AppendHex64(&body, DoubleBits(e.meta.min_v));
-    body += " ";
-    AppendHex64(&body, DoubleBits(e.meta.max_v));
-    body += e.meta.all_finite ? " 1 " : " 0 ";
-    body += std::to_string(e.meta.agg.count) + " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.sum));
-    body += " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.sum_sq));
-    body += " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.min));
-    body += " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.max));
-    body += " " + std::to_string(e.meta.agg.first.t) + " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.first.value));
-    body += " " + std::to_string(e.meta.agg.last.t) + " ";
-    AppendHex64(&body, DoubleBits(e.meta.agg.last.value));
-    body += "\n";
+    reserve += 320 + 3 * (e.series.size() + e.file.size());
   }
-  std::string out = body;
-  char crc[9];
-  std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
+  std::string out;
+  out.reserve(reserve);
+  out += kCatalogMagic;
+  out += "\nchunks";
+  AppendIntField(&out, entries.size());
+  out += '\n';
+  for (const ColdCatalogEntry& e : entries) {
+    const ts::ColdChunkMeta& m = e.meta;
+    out += "chunk ";
+    core::AppendEncodedField(&out, e.series);
+    AppendIntField(&out, e.chunk_start);
+    out += ' ';
+    core::AppendEncodedField(&out, e.file);
+    AppendIntField(&out, e.offset);
+    AppendIntField(&out, e.length);
+    AppendIntField(&out, m.count);
+    AppendIntField(&out, m.min_t);
+    AppendIntField(&out, m.max_t);
+    AppendBitsField(&out, m.min_v);
+    AppendBitsField(&out, m.max_v);
+    out += m.all_finite ? " 1" : " 0";
+    AppendIntField(&out, m.agg.count);
+    AppendBitsField(&out, m.agg.sum);
+    AppendBitsField(&out, m.agg.sum_sq);
+    AppendBitsField(&out, m.agg.min);
+    AppendBitsField(&out, m.agg.max);
+    AppendIntField(&out, m.agg.first.t);
+    AppendBitsField(&out, m.agg.first.value);
+    AppendIntField(&out, m.agg.last.t);
+    AppendBitsField(&out, m.agg.last.value);
+    out += '\n';
+  }
+  const uint32_t crc = Crc32(out);  // covers everything above the trailer
   out += "crc ";
-  out += crc;
-  out += "\n";
+  AppendHex(&out, crc, 8);
+  out += '\n';
   return out;
 }
 
@@ -232,6 +264,9 @@ SegmentStore::SegmentStore(const SegmentStoreOptions& options)
                                   : obs::MetricsRegistry::Global();
   m_.put_records = reg.counter("coldtier.put_records");
   m_.put_bytes = reg.counter("coldtier.put_bytes");
+  m_.files_created = reg.counter("coldtier.segment_files_created");
+  m_.segment_syncs = reg.counter("coldtier.segment_syncs");
+  m_.records_rewritten = reg.counter("coldtier.records_rewritten");
   m_.cache_hits = reg.counter("coldtier.cache_hits");
   m_.cache_misses = reg.counter("coldtier.cache_misses");
   m_.cache_evictions = reg.counter("coldtier.cache_evictions");
@@ -240,10 +275,7 @@ SegmentStore::SegmentStore(const SegmentStoreOptions& options)
 
 SegmentStore::~SegmentStore() {
   MutexLock lock(mu_);
-  for (auto& [series, writer] : writers_) {
-    (void)series;
-    if (writer.file != nullptr) (void)writer.file->Close();
-  }
+  RetireActive();
 }
 
 Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
@@ -272,6 +304,39 @@ std::string SegmentStore::PathFor(const std::string& file) const {
   return options_.dir + "/" + file;
 }
 
+Result<uint64_t> SegmentStore::AppendFrame(const std::string& payload) {
+  if (active_ == nullptr) {
+    // NewWritableFile truncates, so a fresh index (Open scanned past every
+    // existing one) never clobbers an earlier epoch's or a retired file.
+    auto fresh = std::make_unique<ActiveFile>();
+    fresh->name = "seg-" + std::to_string(next_file_index_++) + ".seg";
+    HYGRAPH_RETURN_IF_ERROR(
+        env_->NewWritableFile(PathFor(fresh->name), &fresh->file));
+    m_.files_created->Increment();
+    active_ = std::move(fresh);
+  }
+  const std::string frame = EncodeWalFrame(payload);
+  Status append = active_->file->Append(frame);
+  if (!append.ok()) {
+    // Part of the frame may have landed; offsets computed from `written`
+    // would be wrong for every later frame in this file.
+    RetireActive();
+    return append;
+  }
+  const uint64_t payload_offset = active_->written + kFrameHeaderSize;
+  active_->written += frame.size();
+  m_.put_bytes->Add(frame.size());
+  return payload_offset;
+}
+
+void SegmentStore::RetireActive() {
+  if (active_ == nullptr) return;
+  // Best effort: the records that matter are rewritten elsewhere, and the
+  // file's synced prefix stays readable through its name.
+  HYGRAPH_IGNORE_RESULT(active_->file->Close());
+  active_.reset();
+}
+
 Result<ts::ColdChunkId> SegmentStore::Put(const std::string& series_name,
                                           Timestamp chunk_start,
                                           const ts::ColdChunkMeta& meta,
@@ -280,42 +345,50 @@ Result<ts::ColdChunkId> SegmentStore::Put(const std::string& series_name,
     return Status::InvalidArgument("cold chunk larger than a WAL frame");
   }
   MutexLock lock(mu_);
-  auto [it, created] = writers_.try_emplace(series_name);
-  SeriesFile& writer = it->second;
-  if (created) {
-    // Fresh file per series per epoch: NewWritableFile truncates, so we
-    // never reopen (and clobber) a previous epoch's segment. Old records
-    // stay readable because Pin addresses them by their own file name.
-    writer.name = "seg-" + std::to_string(next_file_index_++) + ".seg";
-    Status open = env_->NewWritableFile(PathFor(writer.name), &writer.file);
-    if (!open.ok()) {
-      writers_.erase(it);
-      return open;
-    }
-  }
-  const std::string frame = EncodeWalFrame(encoded);
-  Status append = writer.file->Append(frame);
-  if (!append.ok()) return append;
-  const uint64_t payload_offset = writer.written + kFrameHeaderSize;
-  writer.written += frame.size();
-  writer.dirty = true;
+  auto offset = AppendFrame(encoded);
+  if (!offset.ok()) return offset.status();
 
   const ts::ColdChunkId id = next_id_++;
   Record rec;
-  rec.file = writer.name;
-  rec.offset = payload_offset;
+  rec.file = active_->name;
+  rec.offset = *offset;
   rec.length = static_cast<uint32_t>(encoded.size());
   rec.series = series_name;
   rec.chunk_start = chunk_start;
   rec.meta = meta;
   rec.meta.encoded_size = encoded.size();
   records_.emplace(id, std::move(rec));
+  unsynced_.push_back(id);
   m_.put_records->Increment();
-  m_.put_bytes->Add(frame.size());
   // Write-through: the chunk was just resident (the spiller held its
   // sealed bytes), so the near-term scan probability is high.
   CacheInsert(id, std::make_shared<const std::string>(encoded));
   return id;
+}
+
+Result<std::string> SegmentStore::ReadPayload(ts::ColdChunkId id,
+                                              const std::string& path,
+                                              uint64_t offset,
+                                              uint32_t length) const {
+  std::string frame;
+  Status read = env_->ReadFileRange(path, offset - kFrameHeaderSize,
+                                    static_cast<uint64_t>(length) +
+                                        kFrameHeaderSize,
+                                    &frame);
+  if (!read.ok()) {
+    return Status::Corruption("cold chunk " + std::to_string(id) +
+                              " unreadable: " + read.ToString());
+  }
+  uint32_t stored_len = 0;
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_len, frame.data(), sizeof(stored_len));
+  std::memcpy(&stored_crc, frame.data() + 4, sizeof(stored_crc));
+  std::string payload = frame.substr(kFrameHeaderSize);
+  if (stored_len != length || Crc32(payload) != stored_crc) {
+    return Status::Corruption("cold chunk " + std::to_string(id) +
+                              " failed its frame check");
+  }
+  return payload;
 }
 
 Result<std::shared_ptr<const std::string>> SegmentStore::Pin(
@@ -343,25 +416,9 @@ Result<std::shared_ptr<const std::string>> SegmentStore::Pin(
     length = rit->second.length;
   }
   // Disk read outside the lock: a miss never blocks concurrent hits.
-  std::string frame;
-  Status read = env_->ReadFileRange(path, offset - kFrameHeaderSize,
-                                    static_cast<uint64_t>(length) +
-                                        kFrameHeaderSize,
-                                    &frame);
-  if (!read.ok()) {
-    return Status::Corruption("cold chunk " + std::to_string(id) +
-                              " unreadable: " + read.ToString());
-  }
-  uint32_t stored_len = 0;
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_len, frame.data(), sizeof(stored_len));
-  std::memcpy(&stored_crc, frame.data() + 4, sizeof(stored_crc));
-  std::string payload = frame.substr(kFrameHeaderSize);
-  if (stored_len != length || Crc32(payload) != stored_crc) {
-    return Status::Corruption("cold chunk " + std::to_string(id) +
-                              " failed its frame check");
-  }
-  auto bytes = std::make_shared<const std::string>(std::move(payload));
+  auto payload = ReadPayload(id, path, offset, length);
+  if (!payload.ok()) return payload.status();
+  auto bytes = std::make_shared<const std::string>(std::move(*payload));
   MutexLock lock(mu_);
   auto cit = cache_.find(id);
   if (cit != cache_.end()) {
@@ -383,14 +440,47 @@ void SegmentStore::Forget(ts::ColdChunkId id) {
   // the on-disk record.
 }
 
+Status SegmentStore::Rewrite(ts::ColdChunkId id, Record& rec) {
+  std::string payload;
+  auto cit = cache_.find(id);
+  if (cit != cache_.end()) {
+    payload = *cit->second.bytes;
+  } else {
+    // The retired file still holds the frame in the OS unless the failure
+    // dropped it; the CRC check tells the two apart.
+    auto read = ReadPayload(id, PathFor(rec.file), rec.offset, rec.length);
+    if (!read.ok()) return read.status();
+    payload = std::move(*read);
+  }
+  auto offset = AppendFrame(payload);
+  if (!offset.ok()) return offset.status();
+  rec.file = active_->name;
+  rec.offset = *offset;
+  m_.records_rewritten->Increment();
+  return Status::OK();
+}
+
 Status SegmentStore::SyncSegments() {
   MutexLock lock(mu_);
-  for (auto& [series, writer] : writers_) {
-    (void)series;
-    if (!writer.dirty) continue;
-    HYGRAPH_RETURN_IF_ERROR(writer.file->Sync());
-    writer.dirty = false;
+  if (unsynced_.empty()) return Status::OK();
+  // Records stranded in a retired file move first, so the one fsync below
+  // covers every pending record. Records rewritten by an earlier failed
+  // attempt sit in a file that has since been retired too, and move again.
+  for (const ts::ColdChunkId id : unsynced_) {
+    Record& rec = records_.at(id);
+    if (active_ != nullptr && rec.file == active_->name) continue;
+    HYGRAPH_RETURN_IF_ERROR(Rewrite(id, rec));
   }
+  m_.segment_syncs->Increment();
+  Status sync = active_->file->Sync();
+  if (!sync.ok()) {
+    // fsyncgate: the kernel may have dropped the dirty pages and a second
+    // fsync of this handle could report success without them. Retire it;
+    // the retry rewrites the pending records into a fresh file.
+    RetireActive();
+    return sync;
+  }
+  unsynced_.clear();
   return Status::OK();
 }
 

@@ -46,23 +46,31 @@ struct SegmentStoreOptions {
   obs::MetricsRegistry* metrics = nullptr;  ///< null -> process-global
 };
 
-/// The cold tier: sealed Gorilla chunks appended to per-series segment
-/// files through the checksummed Env layer, fronted by a fixed-budget LRU
-/// cache of decoded-frame payloads.
+/// The cold tier: sealed Gorilla chunks appended to one segment file per
+/// process epoch through the checksummed Env layer, fronted by a
+/// fixed-budget LRU cache of decoded-frame payloads.
 ///
 /// On-disk layout inside `dir`:
 ///   seg-<n>.seg        append-only chunk records, WAL framing
-///                      ([u32 len][u32 crc][payload]); one file per series
-///                      per process epoch, never rewritten
+///                      ([u32 len][u32 crc][payload]); every series spilled
+///                      in a process epoch shares one file, so a checkpoint
+///                      fsyncs one file however many series it spilled.
+///                      A file is never rewritten; an I/O error retires it
+///                      and the next Put or SyncSegments opens seg-<n+1>
 ///   catalog-<seq>.cold the live-record catalog paired with snapshot
 ///                      <seq> (EncodeColdCatalog), written tmp+sync+rename
 ///
 /// Durability protocol (DurableStore::Checkpoint, DESIGN.md §15): segment
 /// appends happen at spill time, SyncSegments() makes them durable, then
 /// WriteCatalog(seq) publishes exactly the live set — so any catalog on
-/// disk only ever references synced bytes. Records dropped by Forget stay
-/// on disk as unreferenced garbage until the file itself is obsolete
-/// (no segment GC in v1; EXPERIMENTS.md quantifies the overhead).
+/// disk only ever references synced bytes. A failed append or fsync
+/// retires the active file: the bytes after its last good sync may be torn
+/// or (fsyncgate) silently dropped, so the records appended since then are
+/// re-read, CRC-checked and rewritten into a fresh file under the same
+/// ColdChunkIds before SyncSegments can succeed. A handle whose fsync
+/// failed is never fsynced again. Records dropped by Forget stay on disk
+/// as unreferenced garbage until the file itself is obsolete (no segment
+/// GC in v1; EXPERIMENTS.md quantifies the overhead).
 ///
 /// Locking: one internal mutex at LockRank::kColdTier — acquirable under
 /// a series shard lock (spill, lazy pins) and under durable.append_mu_
@@ -87,7 +95,11 @@ class SegmentStore final : public ts::ColdTier {
   void Forget(ts::ColdChunkId id) override;
 
   // --- checkpoint integration ------------------------------------------
-  /// Fsyncs every segment file with unsynced appends.
+  /// Makes every record appended since the last successful call durable:
+  /// rewrites records stranded in a retired file into the active one, then
+  /// fsyncs the active file (one fsync, or none when nothing is pending).
+  /// On failure the active file is retired and the pending records stay
+  /// pending, so a retry rewrites them instead of re-syncing the handle.
   Status SyncSegments();
   /// Writes catalog-<seq>.cold listing every live record (tmp+sync+rename,
   /// so a crash never leaves a half-written catalog under the final name).
@@ -121,11 +133,12 @@ class SegmentStore final : public ts::ColdTier {
     Timestamp chunk_start = 0;
     ts::ColdChunkMeta meta;   // re-published by WriteCatalog
   };
-  struct SeriesFile {
+  /// The one file Put appends to. Null before the epoch's first Put and
+  /// after an I/O error retired the previous one.
+  struct ActiveFile {
     std::string name;         // relative file name
     std::unique_ptr<WritableFile> file;
     uint64_t written = 0;     // bytes appended so far
-    bool dirty = false;       // appends since the last Sync
   };
   struct CacheEntry {
     std::shared_ptr<const std::string> bytes;
@@ -135,6 +148,19 @@ class SegmentStore final : public ts::ColdTier {
   explicit SegmentStore(const SegmentStoreOptions& options);
 
   std::string PathFor(const std::string& file) const;
+  /// Frames `payload` onto the active file (opening a fresh one if none is
+  /// active) and returns the payload's offset. A failed append retires
+  /// the file: its tail is torn, so no later frame may follow it.
+  Result<uint64_t> AppendFrame(const std::string& payload)
+      HYGRAPH_REQUIRES(mu_);
+  /// Closes and drops the active file; later appends open a fresh one.
+  void RetireActive() HYGRAPH_REQUIRES(mu_);
+  /// Copies a record stranded in a retired file into the active file:
+  /// payload from the cache, else re-read from disk and CRC-checked.
+  Status Rewrite(ts::ColdChunkId id, Record& rec) HYGRAPH_REQUIRES(mu_);
+  /// Reads one record's frame from disk and verifies length and CRC.
+  Result<std::string> ReadPayload(ts::ColdChunkId id, const std::string& path,
+                                  uint64_t offset, uint32_t length) const;
   /// Inserts into the cache and evicts LRU tails past the budget. The
   /// evicted entries only drop the cache's reference — readers holding the
   /// shared_ptr keep the bytes.
@@ -149,6 +175,9 @@ class SegmentStore final : public ts::ColdTier {
   struct Instruments {
     obs::Counter* put_records;
     obs::Counter* put_bytes;
+    obs::Counter* files_created;
+    obs::Counter* segment_syncs;
+    obs::Counter* records_rewritten;
     obs::Counter* cache_hits;
     obs::Counter* cache_misses;
     obs::Counter* cache_evictions;
@@ -160,7 +189,10 @@ class SegmentStore final : public ts::ColdTier {
   uint64_t next_id_ HYGRAPH_GUARDED_BY(mu_) = 1;
   uint64_t next_file_index_ HYGRAPH_GUARDED_BY(mu_) = 0;
   std::unordered_map<ts::ColdChunkId, Record> records_ HYGRAPH_GUARDED_BY(mu_);
-  std::unordered_map<std::string, SeriesFile> writers_ HYGRAPH_GUARDED_BY(mu_);
+  std::unique_ptr<ActiveFile> active_ HYGRAPH_GUARDED_BY(mu_);
+  // Records appended since the last successful SyncSegments, in append
+  // order: exactly the records a failed append or fsync can strand.
+  std::vector<ts::ColdChunkId> unsynced_ HYGRAPH_GUARDED_BY(mu_);
   // LRU cache of payload bytes, most-recent at the front.
   mutable std::unordered_map<ts::ColdChunkId, CacheEntry> cache_
       HYGRAPH_GUARDED_BY(mu_);

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -90,6 +91,43 @@ class TieringRecoveryTest : public ::testing::TestWithParam<Arch> {
               {query::EntityRef::Edge(*e0), "load", i * 4, 0.5 * i}).ok());
     }
   }
+  // The trip-edge shape in miniature: many small series, each with two
+  // sealed chunks (12 samples at stride 4 against chunk_duration 16), so
+  // one checkpoint spills kManySeries x 2 chunks from kManySeries series.
+  static constexpr int kManySeries = 60;
+  static void IngestManySeries(DurableStore* store) {
+    for (int v = 0; v < kManySeries; ++v) {
+      ASSERT_TRUE(store->AddVertex({"Dock"}, {}).ok());
+    }
+    AppendManySeries(store, /*t0=*/0);
+  }
+  // Appends the same 12-sample run to every series, shifted by `t0`.
+  static void AppendManySeries(DurableStore* store, Timestamp t0) {
+    for (int v = 0; v < kManySeries; ++v) {
+      std::vector<query::SampleWrite> batch;
+      for (int i = 0; i < 12; ++i) {
+        batch.push_back({query::EntityRef::Vertex(static_cast<uint64_t>(v)),
+                         "bikes", t0 + i * 4, v + 0.125 * i});
+      }
+      ASSERT_TRUE(store->AppendSamples(batch).ok());
+    }
+  }
+  static uint64_t Counter(const DurableStore& store, const std::string& name) {
+    const auto snap = store.metrics()->Snapshot();
+    auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  }
+  // Models power loss after the store acknowledged everything: un-synced
+  // bytes vanish (fsync barriers honored), then the process restarts.
+  void PowerLoss(std::unique_ptr<DurableStore>* store) {
+    env_->Crash();
+    store->reset();
+    ASSERT_TRUE(
+        env_->DropUnsyncedData(FaultInjectionEnv::UnsyncedLoss::kDropAll)
+            .ok());
+    env_->Revive();
+  }
+
   // All eight aggregate kinds over the full axis for v0."temp" — the
   // bit-identical cold-vs-resident comparison vector.
   static std::vector<double> AggVector(const DurableStore& store) {
@@ -467,6 +505,142 @@ TEST_P(TieringRecoveryTest, MissingCatalogOpensAsPreTieringCheckpoint) {
   EXPECT_GT(range->samples().size(), 0u);  // the hot tail is still there
 }
 
+// -- segment I/O faults -------------------------------------------------------
+
+// One segment file per epoch means one fsync covers every series a
+// checkpoint spilled — and so does one failed fsync. Under fsyncgate the
+// kernel drops the dirty pages and a second fsync of the same handle
+// reports OK, so the retry must rewrite the records into a fresh file
+// rather than re-sync. Run with an ample cache (rewrite from RAM) and a
+// 1-byte one (rewrite re-reads the retired file and checks each CRC).
+TEST_P(TieringRecoveryTest, FsyncgateOnSegmentSyncLosesNoAcknowledgedSample) {
+  for (const size_t budget : {size_t{1} << 20, size_t{1}}) {
+    SCOPED_TRACE("cache budget " + std::to_string(budget));
+    dir_ = root_ + "/fsyncgate-" + std::to_string(budget);
+    DurableOptions options = Tiered(budget);
+    options.retry_sleep = [](Duration) {};
+    auto store = MakeStore(options);
+    ASSERT_TRUE(store->Open().ok());
+    IngestManySeries(store.get());
+    const std::string acked = Signature(*store->inner());
+    if (Hypertable(store.get()) == nullptr) return;
+    // The checkpoint's first Sync is the segment fsync (the WAL synced
+    // every batch already).
+    const uint64_t faults_before = env_->transient_faults();
+    env_->SetFsyncgateAfter(0);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    EXPECT_EQ(env_->transient_faults(), faults_before + 1);
+    EXPECT_EQ(Counter(*store, "coldtier.segment_files_created"), 2u);
+    EXPECT_EQ(Counter(*store, "coldtier.records_rewritten"),
+              2u * kManySeries);
+    EXPECT_EQ(Signature(*store->inner()), acked);
+
+    PowerLoss(&store);
+    store = MakeStore(options);
+    ASSERT_TRUE(store->Open().ok());
+    // The WAL rotated at the checkpoint, so the spilled samples can only
+    // come back from the segment files the catalog names.
+    EXPECT_EQ(store->recovery().wal_records_replayed, 0u);
+    EXPECT_EQ(store->recovery().cold_chunks_adopted, 2u * kManySeries);
+    EXPECT_EQ(Signature(*store->inner()), acked);
+  }
+}
+
+// A failed append leaves a torn frame at the end of the active file; every
+// later frame appended there would sit at the wrong offset. The file is
+// retired instead, and its records since the last sync move to a new one.
+TEST_P(TieringRecoveryTest, TornSegmentAppendRetiresTheFile) {
+  for (const size_t budget : {size_t{1} << 20, size_t{1}}) {
+    SCOPED_TRACE("cache budget " + std::to_string(budget));
+    dir_ = root_ + "/torn-" + std::to_string(budget);
+    DurableOptions options = Tiered(budget);
+    options.retry_sleep = [](Duration) {};
+    auto store = MakeStore(options);
+    ASSERT_TRUE(store->Open().ok());
+    IngestManySeries(store.get());
+    const std::string acked = Signature(*store->inner());
+    if (Hypertable(store.get()) == nullptr) return;
+    // Ten chunks spill cleanly, the eleventh frame tears; the spill
+    // retry resumes with the chunks still resident.
+    const uint64_t faults_before = env_->transient_faults();
+    env_->SetTornAppendAfter(10);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    EXPECT_EQ(env_->transient_faults(), faults_before + 1);
+    EXPECT_EQ(Counter(*store, "coldtier.segment_files_created"), 2u);
+    EXPECT_EQ(Counter(*store, "coldtier.records_rewritten"), 10u);
+    EXPECT_EQ(Signature(*store->inner()), acked);
+
+    PowerLoss(&store);
+    store = MakeStore(options);
+    ASSERT_TRUE(store->Open().ok());
+    EXPECT_EQ(store->recovery().wal_records_replayed, 0u);
+    EXPECT_EQ(Signature(*store->inner()), acked);
+  }
+}
+
+// Spilling from many series costs one segment fsync per checkpoint, and
+// the per-stage histograms account for the checkpoint's time.
+TEST_P(TieringRecoveryTest, CheckpointStagesTileCheckpointTime) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  IngestManySeries(store.get());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  AppendManySeries(store.get(), /*t0=*/1008);
+  const uint64_t syncs_before = Counter(*store, "coldtier.segment_syncs");
+  ASSERT_TRUE(store->Checkpoint().ok());
+  const auto snap = store->metrics()->Snapshot();
+  uint64_t stage_sum = 0;
+  for (const char* stage : {"spill", "segment_sync", "snapshot_build",
+                            "catalog", "install", "gc", "wal_rotate"}) {
+    auto it = snap.histograms.find(
+        std::string("durable.checkpoint_stage_nanos.") + stage);
+    ASSERT_NE(it, snap.histograms.end()) << stage;
+    stage_sum += it->second.sum;
+  }
+  const uint64_t total = snap.histograms.at("durable.checkpoint_nanos").sum;
+  EXPECT_GE(stage_sum, total * 9 / 10);
+  EXPECT_LE(stage_sum, total);
+  if (Hypertable(store.get()) == nullptr) return;
+  EXPECT_GE(Hypertable(store.get())->stats().cold_chunks_spilled,
+            4u * kManySeries);
+  // The second checkpoint spilled from all 60 series into the epoch's one
+  // file: exactly one more segment fsync, and no new file.
+  EXPECT_EQ(Counter(*store, "coldtier.segment_syncs"), syncs_before + 1);
+  EXPECT_EQ(Counter(*store, "coldtier.segment_files_created"), 1u);
+}
+
+// Each process epoch appends to its own segment file; a store whose
+// catalog spans two of them reopens and serves every sample.
+TEST_P(TieringRecoveryTest, TwoEpochSegmentFilesReopenIntact) {
+  std::string acked;
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    IngestManySeries(store.get());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    AppendManySeries(store.get(), /*t0=*/1008);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    acked = Signature(*store->inner());
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_EQ(Signature(*store->inner()), acked);
+  for (int v = 0; v < kManySeries; ++v) {
+    auto range = store->SeriesRange(
+        query::EntityRef::Vertex(static_cast<uint64_t>(v)), "bikes",
+        Interval::All());
+    ASSERT_TRUE(range.ok()) << range.status().ToString();
+    EXPECT_EQ(range->samples().size(), 24u);
+  }
+  if (Hypertable(store.get()) == nullptr) return;
+  EXPECT_EQ(ColdFiles(".seg").size(), 2u);
+  EXPECT_GE(store->recovery().cold_chunks_adopted, 4u * kManySeries);
+}
+
 // -- probabilistic transient faults ------------------------------------------
 
 TEST_P(TieringRecoveryTest, SurvivesProbabilisticTransientFaults) {
@@ -498,6 +672,102 @@ TEST_P(TieringRecoveryTest, SurvivesProbabilisticTransientFaults) {
   auto store = MakeStore(options);
   ASSERT_TRUE(store->Open().ok());
   EXPECT_EQ(Signature(*store->inner()), before);
+}
+
+// -- catalog encoding -------------------------------------------------------
+
+// Captured from the string-concatenating encoder this one replaced: the
+// catalog is an on-disk format, so the rewrite must reproduce it byte for
+// byte — negative and extreme timestamps, NaN, ±inf, -0.0, subnormals,
+// %-encoded names and both all_finite values included.
+TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  std::vector<ColdCatalogEntry> entries(3);
+  ColdCatalogEntry& a = entries[0];
+  a.series = "v12.temp";
+  a.chunk_start = -86400000;
+  a.file = "seg-0.seg";
+  a.offset = 8;
+  a.length = 42;
+  a.meta.count = 3;
+  a.meta.min_t = -86400000;
+  a.meta.max_t = -86399000;
+  a.meta.min_v = -0.0;
+  a.meta.max_v = 1.5;
+  a.meta.all_finite = true;
+  a.meta.agg.count = 3;
+  a.meta.agg.sum = 2.25;
+  a.meta.agg.sum_sq = 3.0625;
+  a.meta.agg.min = -0.0;
+  a.meta.agg.max = 1.5;
+  a.meta.agg.first = {-86400000, -0.0};
+  a.meta.agg.last = {-86399000, 1.5};
+  ColdCatalogEntry& b = entries[1];
+  b.series = "e 7%.trip\n";
+  b.chunk_start = lo;
+  b.file = "seg-12.seg";
+  b.offset = 123456789012ull;
+  b.length = 65535;
+  b.meta.count = 14;
+  b.meta.min_t = lo;
+  b.meta.max_t = hi;
+  b.meta.min_v = nan;
+  b.meta.max_v = inf;
+  b.meta.all_finite = false;
+  b.meta.agg.count = 14;
+  b.meta.agg.sum = -inf;
+  b.meta.agg.sum_sq = nan;
+  b.meta.agg.min = -inf;
+  b.meta.agg.max = inf;
+  b.meta.agg.first = {lo, -inf};
+  b.meta.agg.last = {hi, nan};
+  ColdCatalogEntry& c = entries[2];
+  c.series = "v\x01\x7f%y";
+  c.chunk_start = 0;
+  c.file = "seg%41.seg";
+  c.offset = std::numeric_limits<uint64_t>::max();
+  c.length = 0;
+  c.meta.count = 0;
+  c.meta.min_t = 0;
+  c.meta.max_t = -1;
+  c.meta.min_v = 1e-310;
+  c.meta.max_v = -1e300;
+  c.meta.all_finite = true;
+  c.meta.agg.count = 0;
+  c.meta.agg.sum = 0.1;
+  c.meta.agg.sum_sq = 5e-324;
+  c.meta.agg.min = std::numeric_limits<double>::max();
+  c.meta.agg.max = -std::numeric_limits<double>::max();
+  c.meta.agg.first = {1, 0.0};
+  c.meta.agg.last = {-1, -nan};
+
+  const std::string golden =
+      "hygraph-coldcat v1\n"
+      "chunks 3\n"
+      "chunk v12.temp -86400000 seg-0.seg 8 42 3 -86400000 -86399000 "
+      "8000000000000000 3ff8000000000000 1 3 4002000000000000 "
+      "4008800000000000 8000000000000000 3ff8000000000000 -86400000 "
+      "8000000000000000 -86399000 3ff8000000000000\n"
+      "chunk e%207%25.trip%0A -9223372036854775808 seg-12.seg 123456789012 "
+      "65535 14 -9223372036854775808 9223372036854775807 7ff8000000000000 "
+      "7ff0000000000000 0 14 fff0000000000000 7ff8000000000000 "
+      "fff0000000000000 7ff0000000000000 -9223372036854775808 "
+      "fff0000000000000 9223372036854775807 7ff8000000000000\n"
+      "chunk v%01%7F%25y 0 seg%2541.seg 18446744073709551615 0 0 0 -1 "
+      "000012688b70e62b fe37e43c8800759c 1 0 3fb999999999999a "
+      "0000000000000001 7fefffffffffffff ffefffffffffffff 1 "
+      "0000000000000000 -1 fff8000000000000\n"
+      "crc 09641573\n";
+  EXPECT_EQ(EncodeColdCatalog(entries), golden);
+  EXPECT_EQ(EncodeColdCatalog({}),
+            "hygraph-coldcat v1\nchunks 0\ncrc 46b19161\n");
+  // The golden text is a valid catalog and a fixed point of parse+encode.
+  auto parsed = ParseColdCatalog(golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(EncodeColdCatalog(*parsed), golden);
 }
 
 INSTANTIATE_TEST_SUITE_P(
