@@ -41,21 +41,6 @@
 namespace hygraph::bench {
 namespace {
 
-struct JsonResult {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  Results().push_back({name, value, unit});
-}
-
 // ---------------------------------------------------------------------------
 // 1. Codec throughput on integral random walks (the post-quantization
 //    bike-count shape: small integer steps on a regular 5-minute grid).
@@ -113,9 +98,8 @@ void BenchCodec(size_t chunks) {
 // ---------------------------------------------------------------------------
 // 2. Decode path: the streaming scalar decoder vs the wide columnar decoder
 //    on identical sealed payloads. The scalar path is the fuzz-hardened
-//    reference; the wide path is what the morsel-driven parallel scan runs
-//    per chunk, so its single-thread advantage is the floor every parallel
-//    speedup multiplies.
+//    reference; the wide path is what every hypertable read runs per
+//    sealed chunk.
 
 int BenchDecodePath(size_t chunks, bool smoke) {
   PrintHeader("Decode path: scalar streaming vs wide columnar");
@@ -315,7 +299,7 @@ int BenchWorkload(bool smoke) {
   std::printf("%-4s | %12s | %12s | %7s\n", "", "on MRS", "off MRS", "delta");
   const auto queries = BuildQueries(*dataset);
   for (size_t q = 0; q < queries.size(); ++q) {
-    const std::string id = "Q" + std::to_string(q + 1);
+    const std::string id = std::string("Q").append(std::to_string(q + 1));
     auto check_on = query::Execute(on, queries[q]);
     auto check_off = query::Execute(off, queries[q]);
     if (!check_on.ok() || !check_off.ok() ||
@@ -363,26 +347,6 @@ int BenchWorkload(bool smoke) {
   return 0;
 }
 
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_compression.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_compression.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"compression\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_compression.json (%zu results)\n",
-              results.size());
-}
-
 }  // namespace
 }  // namespace hygraph::bench
 
@@ -394,6 +358,6 @@ int main(int argc, char** argv) {
     return rc;
   }
   if (const int rc = hygraph::bench::BenchWorkload(smoke); rc != 0) return rc;
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("compression");
   return 0;
 }

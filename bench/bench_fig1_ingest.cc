@@ -31,7 +31,7 @@ int main() {
   std::vector<graph::VertexId> green_ids;
   for (size_t i = 0; i < kStations; ++i) {
     graph::PropertyMap props;
-    props["name"] = Value("S" + std::to_string(i));
+    props["name"] = Value(std::string("S").append(std::to_string(i)));
     red_ids.push_back(red.mutable_topology()->AddVertex({"Station"}, props));
     green_ids.push_back(
         green.mutable_topology()->AddVertex({"Station"}, props));

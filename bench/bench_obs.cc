@@ -33,21 +33,6 @@
 namespace hygraph::bench {
 namespace {
 
-struct JsonResult {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  Results().push_back({name, value, unit});
-}
-
 // ---------------------------------------------------------------------------
 // 1. Instrument hot-path cost.
 
@@ -219,25 +204,6 @@ void BenchExport(size_t iters) {
   Record("export_json_us", json_ms * 1e3 / n, "us");
 }
 
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_obs.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_obs.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"obs\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_obs.json (%zu results)\n", results.size());
-}
-
 }  // namespace
 }  // namespace hygraph::bench
 
@@ -248,6 +214,6 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchSpans(smoke ? 50000 : 1000000);
   if (const int rc = hygraph::bench::BenchProfile(smoke); rc != 0) return rc;
   hygraph::bench::BenchExport(smoke ? 200 : 2000);
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("obs");
   return 0;
 }

@@ -22,26 +22,16 @@
 namespace hygraph::bench {
 namespace {
 
+/// Prints one result line and records it for BENCH_recovery.json.
+void Report(const std::string& name, double value, const std::string& unit) {
+  std::printf("  %-48s %12.2f %s\n", name.c_str(), value, unit.c_str());
+  Record(name, value, unit);
+}
+
 using storage::DurableOptions;
 using storage::DurableStore;
 using storage::Env;
 using storage::WalWriter;
-
-struct JsonResult {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  std::printf("  %-48s %12.2f %s\n", name.c_str(), value, unit.c_str());
-  Results().push_back({name, value, unit});
-}
 
 std::string FreshDir() {
   char tmpl[] = "/tmp/hygraph_bench_recovery_XXXXXX";
@@ -67,7 +57,7 @@ void BenchWalAppend() {
         (void)(*writer)->Append(payload, /*sync=*/true);
       }
     });
-    Record("wal_append_sync_per_record", kSynced / (ms / 1000.0), "records/s");
+    Report("wal_append_sync_per_record", kSynced / (ms / 1000.0), "records/s");
     std::system(("rm -rf " + dir).c_str());
   }
   {
@@ -79,7 +69,7 @@ void BenchWalAppend() {
       }
       (void)(*writer)->Sync();  // one group commit at the end
     });
-    Record("wal_append_group_commit", kUnsynced / (ms / 1000.0), "records/s");
+    Report("wal_append_group_commit", kUnsynced / (ms / 1000.0), "records/s");
     std::system(("rm -rf " + dir).c_str());
   }
 }
@@ -112,7 +102,7 @@ void BenchRecovery() {
     const double ms = TimeMs([&] {
       if (!store.Open().ok()) std::exit(1);
     });
-    Record("recover_wal_" + std::to_string(samples) + "_records", ms, "ms");
+    Report("recover_wal_" + std::to_string(samples) + "_records", ms, "ms");
     std::system(("rm -rf " + dir).c_str());
   }
 
@@ -125,29 +115,10 @@ void BenchRecovery() {
     const double ms = TimeMs([&] {
       if (!store.Open().ok()) std::exit(1);
     });
-    Record("recover_snapshot_" + std::to_string(samples) + "_records", ms,
+    Report("recover_snapshot_" + std::to_string(samples) + "_records", ms,
            "ms");
     std::system(("rm -rf " + dir).c_str());
   }
-}
-
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_recovery.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_recovery.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"recovery\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_recovery.json (%zu results)\n", results.size());
 }
 
 }  // namespace
@@ -156,6 +127,6 @@ void WriteJson() {
 int main() {
   hygraph::bench::BenchWalAppend();
   hygraph::bench::BenchRecovery();
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("recovery");
   return 0;
 }

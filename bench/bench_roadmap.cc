@@ -195,14 +195,15 @@ int main() {
     constexpr size_t kSensors = 50;
     for (size_t s = 0; s < kSensors; ++s) {
       (void)stream.Apply(core::UpdateEvent::AddTsVertex(
-          0, "s" + std::to_string(s), {"Sensor"}, {"v"}));
+          0, std::string("s").append(std::to_string(s)), {"Sensor"}, {"v"}));
     }
     constexpr size_t kTicks = 2000;
     const double ms = bench::TimeMs([&] {
       for (size_t t = 1; t <= kTicks; ++t) {
         for (size_t s = 0; s < kSensors; ++s) {
           (void)stream.Apply(core::UpdateEvent::Sample(
-              static_cast<Timestamp>(t) * kMinute, "s" + std::to_string(s),
+              static_cast<Timestamp>(t) * kMinute,
+              std::string("s").append(std::to_string(s)),
               {static_cast<double>(t)}));
         }
       }

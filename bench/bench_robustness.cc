@@ -35,20 +35,10 @@
 namespace hygraph::bench {
 namespace {
 
-struct JsonResult {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
+/// Prints one result line and records it for BENCH_robustness.json.
+void Report(const std::string& name, double value, const std::string& unit) {
   std::printf("  %-48s %12.3f %s\n", name.c_str(), value, unit.c_str());
-  Results().push_back({name, value, unit});
+  Record(name, value, unit);
 }
 
 std::string FreshDir() {
@@ -100,9 +90,9 @@ void BenchCheckpointOverhead(bool smoke) {
   const double gov_ms = governed.mean();
   const double overhead_pct =
       base_ms > 0.0 ? (gov_ms - base_ms) / base_ms * 100.0 : 0.0;
-  Record("scan_ungoverned", base_ms, "ms");
-  Record("scan_governed", gov_ms, "ms");
-  Record("checkpoint_overhead", overhead_pct, "%");
+  Report("scan_ungoverned", base_ms, "ms");
+  Report("scan_governed", gov_ms, "ms");
+  Report("checkpoint_overhead", overhead_pct, "%");
   if (checksum < 0.0) std::printf("%f", checksum);  // keep the scans live
 }
 
@@ -135,10 +125,10 @@ void BenchDeadlineAbort(bool smoke) {
     });
     latencies.push_back(ms);
   }
-  Record("deadline_ms", deadline_ms, "ms");
-  Record("abort_latency_p50", Percentile(latencies, 0.50), "ms");
-  Record("abort_latency_p99", Percentile(latencies, 0.99), "ms");
-  Record("abort_overrun_p99",
+  Report("deadline_ms", deadline_ms, "ms");
+  Report("abort_latency_p50", Percentile(latencies, 0.50), "ms");
+  Report("abort_latency_p99", Percentile(latencies, 0.99), "ms");
+  Report("abort_overrun_p99",
          Percentile(latencies, 0.99) / deadline_ms, "x deadline");
 }
 
@@ -175,7 +165,7 @@ void BenchDegradedReads(bool smoke) {
   };
 
   const double healthy_ms = TimeMs(read_pass);
-  Record("healthy_reads", reads / (healthy_ms / 1000.0), "aggregates/s");
+  Report("healthy_reads", reads / (healthy_ms / 1000.0), "aggregates/s");
 
   // Poison the store: unbounded transient faults exhaust the retry budget
   // on the next mutation and flip it to degraded read-only.
@@ -186,31 +176,12 @@ void BenchDegradedReads(bool smoke) {
     std::exit(1);
   }
   const double degraded_ms = TimeMs(read_pass);
-  Record("degraded_reads", reads / (degraded_ms / 1000.0), "aggregates/s");
-  Record("degraded_read_retention",
+  Report("degraded_reads", reads / (degraded_ms / 1000.0), "aggregates/s");
+  Report("degraded_read_retention",
          healthy_ms > 0.0 ? healthy_ms / degraded_ms * 100.0 : 0.0, "%");
 
   std::system(("rm -rf " + dir).c_str());
   if (checksum < 0.0) std::printf("%f", checksum);
-}
-
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_robustness.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_robustness.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"robustness\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_robustness.json (%zu results)\n", results.size());
 }
 
 }  // namespace
@@ -221,6 +192,6 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchCheckpointOverhead(smoke);
   hygraph::bench::BenchDeadlineAbort(smoke);
   hygraph::bench::BenchDegradedReads(smoke);
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("robustness");
   return 0;
 }

@@ -43,21 +43,6 @@
 namespace hygraph::bench {
 namespace {
 
-struct JsonResult {
-  std::string name;
-  double value;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  Results().push_back({name, value, unit});
-}
-
 uint64_t Counter(const obs::MetricsSnapshot& snap, const std::string& name) {
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
@@ -316,25 +301,6 @@ int BenchGroupCommitIngest(const Fixture& f, bool smoke) {
   return 0;
 }
 
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_server.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_server.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"server\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_server.json (%zu results)\n", results.size());
-}
-
 }  // namespace
 }  // namespace hygraph::bench
 
@@ -344,6 +310,6 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchQuerySweep(fixture, smoke);
   const int rc = hygraph::bench::BenchGroupCommitIngest(fixture, smoke);
   fixture.server->Stop();
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("server");
   return rc;
 }

@@ -29,28 +29,18 @@
 namespace hygraph::bench {
 namespace {
 
+/// Prints one result line and records it for BENCH_tiering.json.
+void Report(const std::string& name, double value, const std::string& unit) {
+  std::printf("  %-48s %12.2f %s\n", name.c_str(), value, unit.c_str());
+  Record(name, value, unit);
+}
+
 using storage::DurableOptions;
 using storage::DurableStore;
 using storage::Env;
 
 // --smoke shrinks the workload so CI just proves the paths run.
 int kSamples = 40000;
-
-struct JsonResult {
-  std::string name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<JsonResult>& Results() {
-  static std::vector<JsonResult> results;
-  return results;
-}
-
-void Record(const std::string& name, double value, const std::string& unit) {
-  std::printf("  %-48s %12.2f %s\n", name.c_str(), value, unit.c_str());
-  Results().push_back({name, value, unit});
-}
 
 std::string FreshDir() {
   char tmpl[] = "/tmp/hygraph_bench_tiering_XXXXXX";
@@ -131,9 +121,9 @@ void BenchScanVsCacheBudget() {
     const double cold_ms = SweepMs(store.get());
     const double warm_ms = SweepMs(store.get());
     const auto stats = store->cold_tier()->cache_stats();
-    Record(std::string("scan_cold_") + p.label, cold_ms, "ms");
-    Record(std::string("scan_warm_") + p.label, warm_ms, "ms");
-    Record(std::string("cache_miss_rate_") + p.label,
+    Report(std::string("scan_cold_") + p.label, cold_ms, "ms");
+    Report(std::string("scan_warm_") + p.label, warm_ms, "ms");
+    Report(std::string("cache_miss_rate_") + p.label,
            stats.hits + stats.misses == 0
                ? 0.0
                : 100.0 * double(stats.misses) /
@@ -158,10 +148,10 @@ void BenchSpillThroughput() {
   const double ms = TimeMs([&] {
     if (!store->Checkpoint().ok()) std::exit(1);
   });
-  Record("checkpoint_spill_sealed_samples", double(sealed), "samples");
-  Record("checkpoint_spill_throughput", sealed / (ms / 1000.0), "samples/s");
+  Report("checkpoint_spill_sealed_samples", double(sealed), "samples");
+  Report("checkpoint_spill_throughput", sealed / (ms / 1000.0), "samples/s");
   const auto hs = store->inner()->series_hypertable()->stats();
-  Record("checkpoint_cold_bytes", double(hs.cold_bytes_spilled), "bytes");
+  Report("checkpoint_cold_bytes", double(hs.cold_bytes_spilled), "bytes");
   std::system(("rm -rf " + dir).c_str());
 }
 
@@ -176,9 +166,9 @@ void BenchRecoveryVsColdFraction() {
       if (!store->Open().ok()) std::exit(1);
     });
     const uint64_t adopted = store->recovery().cold_chunks_adopted;
-    Record("recover_cold_fraction_" + std::to_string(int(fraction * 100)), ms,
+    Report("recover_cold_fraction_" + std::to_string(int(fraction * 100)), ms,
            "ms");
-    Record("recover_adopted_chunks_" + std::to_string(int(fraction * 100)),
+    Report("recover_adopted_chunks_" + std::to_string(int(fraction * 100)),
            double(adopted), "chunks");
     std::system(("rm -rf " + dir).c_str());
   }
@@ -224,10 +214,10 @@ bool BenchManySeriesCheckpoint() {
       CounterValue(*store, "coldtier.segment_files_created") - files_before;
   const uint64_t syncs =
       CounterValue(*store, "coldtier.segment_syncs") - syncs_before;
-  Record("many_series_checkpoint", ms, "ms");
-  Record("many_series_chunks_spilled", double(spilled), "chunks");
-  Record("many_series_segment_files_created", double(files), "files");
-  Record("many_series_fsyncs_per_checkpoint", double(syncs), "fsyncs");
+  Report("many_series_checkpoint", ms, "ms");
+  Report("many_series_chunks_spilled", double(spilled), "chunks");
+  Report("many_series_segment_files_created", double(files), "files");
+  Report("many_series_fsyncs_per_checkpoint", double(syncs), "fsyncs");
   store.reset();
   std::system(("rm -rf " + dir).c_str());
   if (syncs > 1) {
@@ -238,25 +228,6 @@ bool BenchManySeriesCheckpoint() {
     return false;
   }
   return true;
-}
-
-void WriteJson() {
-  FILE* f = std::fopen("BENCH_tiering.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_tiering.json\n");
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"benchmark\": \"tiering\",\n  \"results\": [\n");
-  const auto& results = Results();
-  for (size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"value\": %.3f, \"unit\": \"%s\"}%s\n",
-                 results[i].name.c_str(), results[i].value,
-                 results[i].unit.c_str(), i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_tiering.json (%zu results)\n", results.size());
 }
 
 }  // namespace
@@ -270,6 +241,6 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchSpillThroughput();
   hygraph::bench::BenchRecoveryVsColdFraction();
   const bool one_sync = hygraph::bench::BenchManySeriesCheckpoint();
-  hygraph::bench::WriteJson();
+  hygraph::bench::WriteJson("tiering");
   return one_sync ? 0 : 1;
 }

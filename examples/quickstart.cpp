@@ -72,7 +72,8 @@ int main() {
   const Timestamp t0 = 1700000000000;
   for (int i = 0; i < 4; ++i) {
     const graph::VertexId v = g->AddVertex(
-        {"Station"}, {{"name", Value("S" + std::to_string(i))}});
+        {"Station"},
+        {{"name", Value(std::string("S").append(std::to_string(i)))}});
     for (int h = 0; h < 48; ++h) {
       (void)store.AppendSample({query::EntityRef::Vertex(v), "bikes",
                                 t0 + h * kHour, 10.0 + i * 5 + (h % 12)});

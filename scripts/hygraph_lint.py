@@ -32,12 +32,11 @@ them. The current rules (see DESIGN.md §12 "Static analysis"):
                   deterministic under test (injectable SleepFn), and counted
                   (durable.retries). Annotate a genuine exception with
                   NOLINT(hygraph-raw-sleep).
-  raw-thread      no std::thread / std::jthread in src/ outside
-                  common/thread_pool.cc — parallelism goes through the
-                  process-wide ThreadPool (common/thread_pool.h) so worker
-                  counts, instrumentation (concurrency.pool_*), governance
-                  checks, and HYGRAPH_THREADS all apply. Annotate a genuine
-                  exception with NOLINT(hygraph-raw-thread).
+  raw-thread      no std::thread / std::jthread in src/ — reads are serial
+                  per query and parallelism comes from connections, so a
+                  library thread is a deliberate owner (the server's
+                  acceptor, metrics and connection threads) and carries
+                  NOLINT(hygraph-raw-thread) naming why.
   layering        project includes in src/ must follow the declared layer
                   DAG (mirrors the target_link_libraries topology in
                   src/CMakeLists.txt, with common/sync.h split into its own
@@ -89,10 +88,6 @@ CLOCK_HOME = Path("src/obs")
 SYNC_HOME = Path("src/common/sync.h")
 # The one sanctioned real sleep: RetryPolicy's default backoff SleepFn.
 RETRY_HOME = Path("src/storage/retry.cc")
-# The one sanctioned spawner of real threads: the process-wide worker pool.
-# Its header declares the worker vector and carries the NOLINT escape there.
-POOL_HOME = Path("src/common/thread_pool.cc")
-POOL_FILES = (POOL_HOME, Path("src/common/thread_pool.h"))
 # The one sanctioned home of socket/poll syscalls: the server's RAII
 # net::Socket / net::Listener wrappers.
 NET_FILES = (Path("src/server/net.h"), Path("src/server/net.cc"))
@@ -155,10 +150,7 @@ def layer_of(rel: Path) -> str | None:
     """Layer of a src/ file, None for files outside src/."""
     if rel.parts[0] != "src" or len(rel.parts) < 3:
         return None
-    if rel == SYNC_HOME or rel in POOL_FILES:
-        # The worker pool lives in common/ for includability but sits above
-        # obs (it reports busy time through obs::Counter), exactly like the
-        # instrumented mutexes — same layer, same reasoning.
+    if rel == SYNC_HOME:
         return "sync"
     return rel.parts[1]
 
@@ -335,20 +327,19 @@ def check_raw_sleep(tree: Tree, report) -> None:
                        f"exception with {RAW_SLEEP_ALLOW}")
 
 
-@rule("raw-thread", "src/ outside common/thread_pool.cc")
+@rule("raw-thread", "src/")
 def check_raw_thread(tree: Tree, report) -> None:
     for f in tree.files:
-        if f.rel.parts[0] != "src" or f.rel == POOL_HOME:
+        if f.rel.parts[0] != "src":
             continue
         for lineno, (raw_line, code_line) in enumerate(zip(f.raw, f.code), 1):
             if RAW_THREAD_ALLOW in raw_line:
                 continue
             if re.search(r"\bstd\s*::\s*j?thread\b", code_line):
                 report(f.rel, lineno, "raw-thread",
-                       "spawn work through ThreadPool "
-                       "(common/thread_pool.h), not raw std::thread; "
-                       "annotate a genuine exception with "
-                       f"{RAW_THREAD_ALLOW}")
+                       "reads are serial per query; a library thread "
+                       "needs a deliberate owner and "
+                       f"{RAW_THREAD_ALLOW} saying why")
 
 
 SOCKET_CALL_RE = re.compile(

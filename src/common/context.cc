@@ -50,16 +50,6 @@ Status QueryContext::CheckNow() {
   return Status::OK();
 }
 
-Status QueryContext::CheckCrossThread() const {
-  if (cancelled()) {
-    return Status::Cancelled("query cancelled");
-  }
-  if (deadline_nanos_ != 0 && now_nanos_() >= deadline_nanos_) {
-    return Status::DeadlineExceeded("query deadline exceeded");
-  }
-  return Status::OK();
-}
-
 Status QueryContext::ReserveMemory(uint64_t bytes) {
   if (governor_ == nullptr || bytes == 0) return Status::OK();
   HYGRAPH_RETURN_IF_ERROR(governor_->Reserve(bytes));

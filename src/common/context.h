@@ -84,14 +84,6 @@ class QueryContext {
   /// immediately. Used at loop boundaries and by Charge's slow path.
   Status CheckNow();
 
-  /// The thread-safe subset of CheckNow() for pool workers executing
-  /// morsels of this query on other threads: reads the atomic cancel flag
-  /// and the deadline (armed before the fan-out, immutable while the query
-  /// runs). Charging stays owner-thread-only — parallel scans charge their
-  /// merged work total on the owning thread at the join barrier, so the
-  /// points budget is enforced with fan-out granularity.
-  Status CheckCrossThread() const;
-
   /// Total units charged so far.
   [[nodiscard]] uint64_t charged() const { return charged_; }
 

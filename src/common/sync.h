@@ -68,11 +68,6 @@ enum class LockRank : int {
   kSeriesMap = 30,
   /// Per-series shard lock (one SharedMutex per series).
   kSeriesShard = 40,
-  /// Worker-pool queue mutex (common/thread_pool.h). Sits between the shard
-  /// lock and the leaf ranks: fan-out happens after every shard lock is
-  /// released (morsels run over pinned, immutable chunks), and morsel
-  /// bodies may still take the leaf aggregate-cache mutex.
-  kThreadPool = 45,
   /// Per-chunk aggregate-cache mutex (double-checked fill).
   kAggCache = 50,
   /// Cold-tier segment/cache state (storage/segment). Acquirable under a
@@ -103,8 +98,6 @@ constexpr const char* LockRankName(LockRank rank) {
       return "hypertable.series_map_mu";
     case LockRank::kSeriesShard:
       return "hypertable.series_shard_mu";
-    case LockRank::kThreadPool:
-      return "thread_pool.queue_mu";
     case LockRank::kAggCache:
       return "hypertable.agg_cache_mu";
     case LockRank::kColdTier:

@@ -20,7 +20,12 @@ Duration Interval::length() const {
 }
 
 std::string Interval::ToString() const {
-  return "[" + FormatTimestamp(start) + ", " + FormatTimestamp(end) + ")";
+  std::string out = "[";
+  out += FormatTimestamp(start);
+  out += ", ";
+  out += FormatTimestamp(end);
+  out += ')';
+  return out;
 }
 
 std::string FormatTimestamp(Timestamp t) {

@@ -81,7 +81,8 @@ Result<Value> ValueFromField(const std::string& field) {
 void AppendLabels(std::string* out, const std::vector<std::string>& labels) {
   *out += " L " + std::to_string(labels.size());
   for (const std::string& label : labels) {
-    *out += " " + EncodeField(label);
+    *out += ' ';
+    *out += EncodeField(label);
   }
 }
 
@@ -89,7 +90,10 @@ void AppendProperties(std::string* out, const graph::PropertyMap& props,
                       const std::map<SeriesId, SeriesId>* pool_remap) {
   *out += " P " + std::to_string(props.size());
   for (const auto& [key, value] : props) {
-    *out += " " + EncodeField(key) + " " + ValueToField(value, pool_remap);
+    *out += ' ';
+    *out += EncodeField(key);
+    *out += ' ';
+    *out += ValueToField(value, pool_remap);
   }
 }
 
@@ -97,7 +101,8 @@ void AppendMultiSeries(std::string* out, const ts::MultiSeries& ms) {
   *out += " MS " + EncodeField(ms.name()) + " " +
           std::to_string(ms.variable_count());
   for (const std::string& var : ms.variables()) {
-    *out += " " + EncodeField(var);
+    *out += ' ';
+    *out += EncodeField(var);
   }
   *out += " " + std::to_string(ms.size());
   for (size_t r = 0; r < ms.size(); ++r) {

@@ -83,23 +83,6 @@ void Tracer::End(SpanId id) {
   stack_.pop_back();
 }
 
-void Tracer::MergeChildSpan(const std::string& name, uint64_t count,
-                            uint64_t nanos) {
-  TraceNode* parent = stack_.empty() ? &root_ : NodeAt(stack_.back().path);
-  for (TraceNode& child : parent->children) {
-    if (child.name == name) {
-      child.count += count;
-      child.total_nanos += nanos;
-      return;
-    }
-  }
-  TraceNode child;
-  child.name = name;
-  child.count = count;
-  child.total_nanos = nanos;
-  parent->children.push_back(std::move(child));
-}
-
 void Tracer::AddCounter(const std::string& name, uint64_t delta) {
   TraceNode* node =
       stack_.empty() ? &root_ : NodeAt(stack_.back().path);

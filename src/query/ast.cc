@@ -96,19 +96,32 @@ ExprPtr Expr::Clone() const {
 
 std::string Expr::ToString() const {
   switch (kind) {
-    case Kind::kLiteral:
-      return literal.is_string() ? "'" + literal.ToString() + "'"
-                                 : literal.ToString();
+    case Kind::kLiteral: {
+      if (!literal.is_string()) return literal.ToString();
+      std::string out = "'";
+      out += literal.ToString();
+      out += '\'';
+      return out;
+    }
     case Kind::kPropertyRef:
       return var + "." + key;
     case Kind::kVariable:
       return var;
-    case Kind::kBinary:
-      return "(" + lhs->ToString() + " " + BinaryOpName(binary_op) + " " +
-             rhs->ToString() + ")";
-    case Kind::kUnary:
-      return unary_op == UnaryOp::kNot ? "NOT " + lhs->ToString()
-                                       : "-" + lhs->ToString();
+    case Kind::kBinary: {
+      std::string out = "(";
+      out += lhs->ToString();
+      out += ' ';
+      out += BinaryOpName(binary_op);
+      out += ' ';
+      out += rhs->ToString();
+      out += ')';
+      return out;
+    }
+    case Kind::kUnary: {
+      std::string out = unary_op == UnaryOp::kNot ? "NOT " : "-";
+      out += lhs->ToString();
+      return out;
+    }
     case Kind::kCall: {
       std::string out = call_name + "(";
       for (size_t i = 0; i < args.size(); ++i) {

@@ -7,8 +7,11 @@ namespace hygraph::query {
 QueryBackend::~QueryBackend() = default;
 
 std::string SeriesSlotName(EntityRef entity, const std::string& key) {
-  return (entity.is_edge() ? "e" : "v") + std::to_string(entity.id) + "." +
-         key;
+  std::string out = entity.is_edge() ? "e" : "v";
+  out += std::to_string(entity.id);
+  out += '.';
+  out += key;
+  return out;
 }
 
 bool ParseSeriesSlotName(const std::string& name, EntityRef* entity,

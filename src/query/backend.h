@@ -206,11 +206,12 @@ class QueryBackend {
 
   /// Batch range aggregate: one result per entity of kind `entity_kind`,
   /// all over the same (key, interval, kind). Multi-entity HGQL aggregate
-  /// queries funnel through here so engines can fan the batch out across a
-  /// worker pool (the hypertable runs one morsel per series). Per-entity
-  /// failures are reported in that entity's slot; the call itself only
-  /// fails on batch-wide conditions (cancellation, deadline, budget). The
-  /// default loops over SeriesAggregate.
+  /// queries funnel through here so an engine can answer the whole batch
+  /// in one call (the hypertable resolves and reduces every series with
+  /// one shared decode buffer). Per-entity failures are reported in that
+  /// entity's slot; the call itself only fails on batch-wide conditions
+  /// (cancellation, deadline, budget). The default loops over
+  /// SeriesAggregate.
   virtual std::vector<Result<double>> SeriesAggregateBatch(
       EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
       const std::string& key, const Interval& interval,

@@ -63,9 +63,8 @@ class Evaluator {
   /// Computes `kind` over (entity, key, interval) for many entities in one
   /// backend batch call and memoizes the answers, so subsequent per-row
   /// ts_* calls on those entities hit the memo instead of issuing one
-  /// backend aggregate each. The hypertable backend fans the batch out
-  /// across the worker pool — one morsel per series. Entities may mix
-  /// vertices and edges; already-memoized entries are skipped.
+  /// backend aggregate each. Entities may mix vertices and edges;
+  /// already-memoized entries are skipped.
   void PrefetchAggregates(const std::vector<Binding>& entities,
                           const std::string& key, const Interval& interval,
                           ts::AggKind kind) const;

@@ -125,8 +125,9 @@ std::string Plan::ToString() const {
       out += ":" + pattern.vertices[i].label;
     }
     if (!pattern.vertices[i].predicates.empty()) {
-      out += "(" + std::to_string(pattern.vertices[i].predicates.size()) +
-             " preds)";
+      out += '(';
+      out += std::to_string(pattern.vertices[i].predicates.size());
+      out += " preds)";
     }
   }
   out += "], edges=" + std::to_string(pattern.edges.size());

@@ -81,7 +81,10 @@ Result<Value> DecodeValue(const std::string& field) {
 
 std::string EncodeLabels(const std::vector<std::string>& labels) {
   std::string out = " L " + std::to_string(labels.size());
-  for (const std::string& label : labels) out += " " + core::EncodeField(label);
+  for (const std::string& label : labels) {
+    out += ' ';
+    out += core::EncodeField(label);
+  }
   return out;
 }
 
@@ -92,7 +95,10 @@ Result<std::string> EncodeProperties(const graph::PropertyMap& props) {
       return Status::InvalidArgument(
           "backend properties cannot hold series references");
     }
-    out += " " + core::EncodeField(key) + " " + EncodeValue(value);
+    out += ' ';
+    out += core::EncodeField(key);
+    out += ' ';
+    out += EncodeValue(value);
   }
   return out;
 }

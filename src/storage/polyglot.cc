@@ -139,7 +139,7 @@ std::vector<Result<double>> PolyglotReads::SeriesAggregateBatch(
     const std::string& key, const Interval& interval, ts::AggKind kind) const {
   // Absent entities keep the EmptyAggregate placeholder (matching
   // SeriesAggregate); the present ones go through the hypertable's batch
-  // aggregate (one morsel per series) and scatter back into their slots.
+  // aggregate and scatter back into their slots.
   const std::vector<Result<SeriesId>> sids = ResolveAll(entity_kind, ids, key);
   std::vector<Result<double>> out(ids.size(), EmptyAggregate(kind));
   std::vector<SeriesId> present;

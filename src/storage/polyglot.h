@@ -51,9 +51,9 @@ class PolyglotReads : public query::QueryBackend {
                                  const Interval& interval,
                                  ts::AggKind kind) const final;
 
-  /// Batch aggregates fan out across the worker pool — one morsel per
-  /// series via HypertableStore::AggregateMany (the multi-entity Table 1
-  /// query shape: one aggregate per matched station/account).
+  /// Batch aggregates run as one HypertableStore::AggregateMany call (the
+  /// multi-entity Table 1 query shape: one aggregate per matched
+  /// station/account).
   std::vector<Result<double>> SeriesAggregateBatch(
       query::EntityRef::Kind entity_kind, const std::vector<uint64_t>& ids,
       const std::string& key, const Interval& interval,

@@ -43,19 +43,6 @@ struct HypertableOptions {
   /// containing engine (PolyglotStore) passes its own registry so one
   /// snapshot covers the whole backend.
   obs::MetricsRegistry* metrics = nullptr;
-  /// When true (default), multi-chunk reads (ScanVisit / Aggregate /
-  /// WindowAggregate / CountMatching / Scan / Materialize) fan their
-  /// per-chunk work out over the process-wide worker pool, morsel-driven:
-  /// one pinned chunk is one morsel, the caller participates, and partial
-  /// results merge in chunk order so the answer is bit-identical to the
-  /// serial path. Setting HYGRAPH_THREADS=1 disables the pool process-wide,
-  /// which is the EXPERIMENTS.md parallelism kill switch.
-  bool parallel_scan = true;
-  /// Caps the threads (caller included) one fan-out of this store may use;
-  /// 0 means "no cap beyond the pool size". The pool is process-wide and
-  /// grow-only, so this per-store cap is what lets the scaling bench
-  /// measure 1→N-thread points deterministically on any machine.
-  size_t parallel_scan_cap = 0;
   /// Cold tier sealed chunks spill to (null = everything stays in RAM).
   /// Not owned; set post-construction via AttachColdTier (single-threaded
   /// setup, before the store is shared). Lives in the options so Fork()
@@ -83,9 +70,6 @@ struct HypertableStats {
   /// Sealed chunks skipped wholesale because their value zone map cannot
   /// intersect a pushed-down value predicate (the Q8 query shape).
   size_t chunks_zonemap_skipped = 0;
-  // Morsel-driven parallel read path (cumulative since ResetStats()).
-  size_t morsels_dispatched = 0;  ///< per-chunk / per-series morsels fanned out
-  size_t morsels_stolen = 0;      ///< morsels executed by pool workers
   // Cold tier (cumulative since ResetStats()).
   size_t cold_chunks_spilled = 0;  ///< sealed chunks written to the tier
   size_t cold_bytes_spilled = 0;   ///< encoded bytes across those spills
@@ -220,36 +204,25 @@ class HypertableStore {
   /// ScanVisit with a pushed-down value predicate: only matching samples
   /// are visited, and sealed chunks whose value zone map cannot intersect
   /// the bounds are skipped without decoding (stats().chunks_zonemap_skipped).
-  ///
-  /// With options().parallel_scan and ≥2 overlapping chunks, the per-chunk
-  /// decode + filter fans out over the worker pool (one chunk = one
-  /// morsel); the matched samples land in per-chunk buffers and `fn` is
-  /// replayed over them in chunk order on the calling thread, so callbacks
-  /// observe exactly the serial visit order and never run concurrently.
+  /// Callbacks run on the calling thread in time order; one that re-enters
+  /// the store starts its own read call with its own decode buffer.
   template <typename Fn>
   Status ScanVisit(SeriesId id, const Interval& interval,
                    const ScanPredicate& predicate, Fn&& fn) const {
     auto view = PinView(id, interval, /*want_aggregates=*/false);
     if (!view.ok()) return view.status();
     m_.chunks_total->Add(view->chunk_count);
-    if (ShouldParallelize(*view)) {
-      std::vector<std::vector<Sample>> buffers;
-      HYGRAPH_RETURN_IF_ERROR(
-          ParallelScanChunks(*view, interval, predicate, &buffers));
-      for (std::vector<Sample>& buffer : buffers) {
-        for (const Sample& s : buffer) fn(s);
-      }
-      return Status::OK();
-    }
+    QueryContext* ctx = QueryContext::Current();
+    std::vector<Sample> scratch;
     for (const PinnedChunk& chunk : view->chunks) {
-      if (chunk.has_zone && !predicate.unbounded() &&
-          !(chunk.min_v <= predicate.max_value &&
-            chunk.max_v >= predicate.min_value)) {
+      HYGRAPH_RETURN_IF_ERROR(CheckChunk(ctx));
+      if (ZoneMapExcludes(chunk, predicate)) {
         m_.chunks_zonemap_skipped->Increment();
         continue;
       }
       m_.chunks_scanned->Increment();
-      HYGRAPH_RETURN_IF_ERROR(VisitPinned(chunk, interval, predicate, fn));
+      HYGRAPH_RETURN_IF_ERROR(
+          VisitPinned(chunk, interval, predicate, ctx, &scratch, fn));
     }
     return Status::OK();
   }
@@ -269,18 +242,18 @@ class HypertableStore {
   Result<Series> Materialize(SeriesId id, const Interval& interval) const;
 
   /// Range aggregate using chunk pruning + the per-chunk aggregate cache.
-  /// Serial and parallel runs produce bit-identical doubles: both reduce
-  /// the same per-chunk AggState partials in chunk order (boundary chunks
-  /// fold their clipped samples into a chunk-local partial first).
+  /// Reduces one AggState partial per chunk in chunk order (boundary
+  /// chunks fold their clipped samples into a chunk-local partial first),
+  /// so the floating-point reduction order is fixed by the chunk layout.
   Result<double> Aggregate(SeriesId id, const Interval& interval,
                            AggKind kind) const;
 
   /// Batch form of Aggregate for multi-entity queries: one result slot per
   /// id, in input order (per-series failures — e.g. an unknown id — land
-  /// in their slot without failing the batch). With parallel_scan the
-  /// batch fans out one morsel per series; each slot is bit-identical to
-  /// what Aggregate(ids[i], ...) returns. Returns non-OK only for
-  /// batch-wide governance violations (deadline, cancel, budget).
+  /// in their slot without failing the batch). Each slot is bit-identical
+  /// to what Aggregate(ids[i], ...) returns; the batch shares one decode
+  /// buffer. Returns non-OK only for batch-wide governance violations
+  /// (deadline, cancel, budget).
   Status AggregateMany(const std::vector<SeriesId>& ids,
                        const Interval& interval, AggKind kind,
                        std::vector<Result<double>>* out) const;
@@ -530,67 +503,48 @@ class HypertableStore {
   static const AggState& HotAggregate(const Chunk& chunk)
       HYGRAPH_NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Per-thread reusable decode buffers for the sealed read path: Acquire
-  /// pops (or creates) a cleared vector, Release returns it. A stack
-  /// rather than a single slot because a visit callback may re-enter the
-  /// store on the same thread (nested reads must not clobber the buffer
-  /// the outer scan is iterating).
-  static std::vector<Sample> AcquireScratch();
-  static void ReleaseScratch(std::vector<Sample> scratch);
+  /// Aggregate's engine: pins the view, reduces one partial per chunk
+  /// (cached or a clipped scan into a chunk-local AggState), merges them
+  /// in chunk order and finalizes. `scratch` is the calling read's decode
+  /// buffer, so AggregateMany reuses one across its batch.
+  Result<double> AggregateWith(SeriesId id, const Interval& interval,
+                               AggKind kind, QueryContext* ctx,
+                               std::vector<Sample>* scratch) const;
 
-  /// True when a multi-chunk read should fan out over the worker pool:
-  /// parallel_scan is on, at least two chunks overlap, and the process
-  /// pool has at least one worker (HYGRAPH_THREADS=1 disables it).
-  bool ShouldParallelize(const SeriesReadView& view) const;
+  /// True when `chunk`'s value zone map proves no sample can match.
+  static bool ZoneMapExcludes(const PinnedChunk& chunk,
+                              const ScanPredicate& predicate) {
+    return chunk.has_zone && !predicate.unbounded() &&
+           !(chunk.min_v <= predicate.max_value &&
+             chunk.max_v >= predicate.min_value);
+  }
 
-  /// The morsel-driven sealed/hot chunk scan: one morsel per pinned chunk,
-  /// decoded + clipped + predicate-filtered into buffers[i] (chunk order
-  /// preserved; zone-map-skipped chunks leave their buffer empty). Workers
-  /// observe deadline/cancel via CheckCrossThread per morsel; the decoded
-  /// sample total is charged on the calling thread at the join barrier.
-  Status ParallelScanChunks(const SeriesReadView& view,
-                            const Interval& interval,
-                            const ScanPredicate& predicate,
-                            std::vector<std::vector<Sample>>* buffers) const;
+  /// Governance probe taken before each pinned chunk of a read (cancel,
+  /// points budget, deadline), so a cut read stops at chunk granularity
+  /// even when its chunks cost no decode work (cached partials, zone-map
+  /// answers).
+  static Status CheckChunk(QueryContext* ctx) {
+    return ctx == nullptr ? Status::OK() : ctx->CheckNow();
+  }
 
-  /// Runs `morsel(0..n-1)`, fanned over the worker pool when `parallel`
-  /// (first error wins) or in index order inline otherwise. Either way
-  /// every morsel is preceded by a CheckCrossThread deadline/cancel probe
-  /// against `ctx` (when set), which is the thread-safe subset of the
-  /// context — charging stays with the caller.
-  Status RunChunkMorsels(size_t n, bool parallel, const QueryContext* ctx,
-                         const std::function<Status(size_t)>& morsel) const;
-
-  /// Aggregate's engine, reusable from worker threads: pins the view, runs
-  /// one morsel per chunk (cached partial or clipped scan into a
-  /// chunk-local AggState), merges the partials in chunk order, and
-  /// finalizes. Never touches QueryContext::Current() — deadline/cancel
-  /// probes go through `ctx`, and work units accumulate into `*work` for
-  /// the caller to charge.
-  Result<double> AggregateWithContext(SeriesId id, const Interval& interval,
-                                      AggKind kind, const QueryContext* ctx,
-                                      uint64_t* work) const;
-
-  /// The shared per-chunk visit primitive every read path (serial or
-  /// morsel) rides on: decodes a sealed chunk through the wide columnar
-  /// decoder (DecodeChunkWide) into a reused per-thread scratch buffer —
-  /// or takes the hot samples as-is — clips to `interval` by binary
-  /// search, and evaluates `predicate` over the decoded column in one
-  /// branch-light loop, calling `fn` per match. Thread-safe (instruments
-  /// are relaxed atomics; the scratch is per-thread) and charge-free:
-  /// decoded-sample units accumulate into `*work` for the caller to settle
-  /// against its QueryContext — on the owning thread for serial scans, at
-  /// the join barrier for parallel ones.
+  /// The per-chunk visit primitive every read path rides on: decodes a
+  /// sealed chunk through the wide columnar decoder (DecodeChunkWide) into
+  /// `*scratch`, the calling read's decode buffer — or takes the hot
+  /// samples as-is — clips to `interval` by binary search, and evaluates
+  /// `predicate` over the decoded column in one branch-light loop, calling
+  /// `fn` per match. The chunk's work (decoded samples) is then charged to
+  /// `ctx`, so a scan cut by a deadline, Cancel(), or the points budget
+  /// unwinds with the context's status at chunk granularity.
   template <typename Fn>
-  Status ForEachChunkSample(const PinnedChunk& chunk, const Interval& interval,
-                            const ScanPredicate& predicate, uint64_t* work,
-                            Fn&& fn) const {
+  Status VisitPinned(const PinnedChunk& chunk, const Interval& interval,
+                     const ScanPredicate& predicate, QueryContext* ctx,
+                     std::vector<Sample>* scratch, Fn&& fn) const {
+    const std::vector<Sample>* samples = &chunk.hot;
     if (chunk.sealed()) {
       // Cold chunks pin their bytes here — at decode time, not at PinView
       // time — so chunks answered from zone maps or cached aggregates
-      // never touch the tier. Each morsel worker pins independently; the
-      // tier's cache makes that concurrency-safe and eviction only drops
-      // the cache's own reference (the shared_ptr below stays valid).
+      // never touch the tier. Eviction only drops the tier cache's own
+      // reference, so the shared_ptr below stays valid.
       std::shared_ptr<const std::string> cold_bytes;
       const std::string* encoded = nullptr;
       if (chunk.sealed_ref != nullptr) {
@@ -607,54 +561,29 @@ class HypertableStore {
         encoded = cold_bytes.get();
       }
       m_.chunks_decoded->Increment();
-      std::vector<Sample> scratch = AcquireScratch();
-      Status decode = DecodeChunkWide(*encoded, &scratch);
+      Status decode = DecodeChunkWide(*encoded, scratch);
       if (!decode.ok()) {
         return Status::Internal("sealed chunk failed to decode: " +
                                 decode.message());
       }
-      auto lo = std::lower_bound(
-          scratch.begin(), scratch.end(), interval.start,
-          [](const Sample& s, Timestamp t) { return s.t < t; });
-      auto hi = std::lower_bound(
-          lo, scratch.end(), interval.end,
-          [](const Sample& s, Timestamp t) { return s.t < t; });
-      m_.samples_scanned->Add(static_cast<size_t>(hi - lo));
-      *work += scratch.size();
-      for (auto s = lo; s != hi; ++s) {
-        if (predicate.Matches(s->value)) fn(*s);
-      }
-      ReleaseScratch(std::move(scratch));
-      return Status::OK();
+      samples = scratch;
     }
     // Hot samples were already clipped to the pin interval; `interval` is
     // the same or narrower (WindowAggregate passes the clamped span).
     auto lo = std::lower_bound(
-        chunk.hot.begin(), chunk.hot.end(), interval.start,
+        samples->begin(), samples->end(), interval.start,
         [](const Sample& s, Timestamp t) { return s.t < t; });
     auto hi = std::lower_bound(
-        lo, chunk.hot.end(), interval.end,
+        lo, samples->end(), interval.end,
         [](const Sample& s, Timestamp t) { return s.t < t; });
     m_.samples_scanned->Add(static_cast<size_t>(hi - lo));
-    *work += static_cast<uint64_t>(hi - lo);
-    for (auto sample = lo; sample != hi; ++sample) {
-      if (predicate.Matches(sample->value)) fn(*sample);
+    for (auto s = lo; s != hi; ++s) {
+      if (predicate.Matches(s->value)) fn(*s);
     }
-    return Status::OK();
-  }
-
-  /// ForEachChunkSample plus governance settlement for single-threaded
-  /// callers: the chunk's work is charged to the calling thread's
-  /// QueryContext after the visit, so a scan cut by a deadline, Cancel(),
-  /// or the points budget unwinds with the context's status at chunk
-  /// granularity instead of running to completion.
-  template <typename Fn>
-  Status VisitPinned(const PinnedChunk& chunk, const Interval& interval,
-                     const ScanPredicate& predicate, Fn&& fn) const {
-    uint64_t work = 0;
-    HYGRAPH_RETURN_IF_ERROR(ForEachChunkSample(chunk, interval, predicate,
-                                               &work, std::forward<Fn>(fn)));
-    QueryContext* ctx = QueryContext::Current();
+    // A decoded chunk costs every sample it held; a hot one only the
+    // samples inside the clip.
+    const uint64_t work = chunk.sealed() ? samples->size()
+                                         : static_cast<uint64_t>(hi - lo);
     if (ctx != nullptr && work > 0) return ctx->Charge(work);
     return Status::OK();
   }
@@ -679,11 +608,6 @@ class HypertableStore {
     obs::Counter* snapshot_pins = nullptr;      ///< Fork() calls
     obs::Counter* unseal_conflicts = nullptr;   ///< unseals while readers pinned
     obs::Counter* series_cow_copies = nullptr;  ///< writer detaches after Fork
-    // Morsel-driven parallel read path.
-    obs::Counter* morsels_dispatched = nullptr;  ///< morsels fanned out
-    obs::Counter* morsels_stolen = nullptr;      ///< morsels run by pool workers
-    obs::Counter* pool_busy_nanos = nullptr;     ///< worker time on this store
-    obs::Counter* pool_threads = nullptr;        ///< pool size, set once
     // Cold tier.
     obs::Counter* cold_chunks_spilled = nullptr;  ///< chunks written to tier
     obs::Counter* cold_bytes_spilled = nullptr;   ///< encoded bytes spilled

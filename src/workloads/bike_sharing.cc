@@ -35,7 +35,7 @@ Result<BikeSharingDataset> GenerateBikeSharing(
 
   for (size_t i = 0; i < config.stations; ++i) {
     StationRecord station;
-    station.name = "S" + std::to_string(i);
+    station.name = std::string("S").append(std::to_string(i));
     station.district = static_cast<int64_t>(i % config.districts);
     const auto [cx, cy] = centers[static_cast<size_t>(station.district)];
     station.x = cx + rng.NextGaussian() * 800.0;

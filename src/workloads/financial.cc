@@ -29,7 +29,7 @@ Result<core::HyGraph> GenerateFinancialHyGraph(const FinancialConfig& config) {
   std::vector<graph::VertexId> exchanges;
   for (size_t x = 0; x < config.exchanges; ++x) {
     graph::PropertyMap props;
-    props["name"] = "X" + std::to_string(x);
+    props["name"] = std::string("X").append(std::to_string(x));
     auto v = hg.AddPgVertex({"Exchange"}, std::move(props),
                             Interval{t0, kMaxTimestamp});
     if (!v.ok()) return v.status();

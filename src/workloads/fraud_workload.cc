@@ -61,7 +61,7 @@ Result<core::HyGraph> GenerateFraudHyGraph(const FraudConfig& config) {
     const double angle = 2.0 * kPi * static_cast<double>(cluster) /
                          static_cast<double>(config.merchant_clusters);
     graph::PropertyMap props;
-    props["name"] = "M" + std::to_string(m);
+    props["name"] = std::string("M").append(std::to_string(m));
     props["cluster"] = static_cast<int64_t>(cluster);
     props["x"] = 20000.0 * std::cos(angle) + rng.NextGaussian() * 200.0;
     props["y"] = 20000.0 * std::sin(angle) + rng.NextGaussian() * 200.0;
@@ -169,7 +169,7 @@ Result<core::HyGraph> GenerateFraudHyGraph(const FraudConfig& config) {
 
     // --- materialize vertices/edges -----------------------------------------
     graph::PropertyMap user_props;
-    user_props["name"] = "U" + std::to_string(u);
+    user_props["name"] = std::string("U").append(std::to_string(u));
     user_props["gt_fraud"] = Value(role == Role::kRing);
     user_props["gt_role"] = RoleName(role);
     auto user = hg.AddPgVertex({"User"}, std::move(user_props));
@@ -178,7 +178,7 @@ Result<core::HyGraph> GenerateFraudHyGraph(const FraudConfig& config) {
     auto card = hg.AddTsVertex({"CreditCard"}, std::move(balance));
     if (!card.ok()) return card.status();
     HYGRAPH_RETURN_IF_ERROR(hg.SetVertexProperty(
-        *card, "name", Value("C" + std::to_string(u))));
+        *card, "name", Value(std::string("C").append(std::to_string(u)))));
     auto uses = hg.AddPgEdge(*user, *card, "USES", {});
     if (!uses.ok()) return uses.status();
 

@@ -70,7 +70,7 @@ TEST(ConvertTest, SnapshotExtractionFiltersByTime) {
 TEST(ConvertTest, SeriesCollectionRoundTrip) {
   std::vector<ts::MultiSeries> collection;
   for (int i = 0; i < 3; ++i) {
-    ts::MultiSeries ms("m" + std::to_string(i), {"v"});
+    ts::MultiSeries ms(std::string("m").append(std::to_string(i)), {"v"});
     for (int j = 0; j < 5; ++j) {
       ASSERT_TRUE(ms.AppendRow(j * kMinute, {i * 10.0 + j}).ok());
     }
@@ -100,7 +100,7 @@ std::vector<ts::Series> PhaseFamily() {
   // a and b in phase, c in anti-phase.
   std::vector<ts::Series> out;
   for (int k = 0; k < 3; ++k) {
-    ts::Series s("s" + std::to_string(k));
+    ts::Series s(std::string("s").append(std::to_string(k)));
     for (int i = 0; i < 100; ++i) {
       const double phase = (k == 2) ? 3.14159265 : 0.02 * k;
       EXPECT_TRUE(

@@ -44,7 +44,8 @@ class EvaluatorMemoTest : public ::testing::Test {
     graph::PropertyGraph* g = backend_.mutable_topology();
     for (int s = 0; s < 6; ++s) {
       const graph::VertexId v = g->AddVertex(
-          {"Station"}, {{"name", Value("S" + std::to_string(s))}});
+          {"Station"},
+          {{"name", Value(std::string("S").append(std::to_string(s)))}});
       for (int i = 0; i < 48; ++i) {
         ASSERT_TRUE(backend_
                         .AppendSample({query::EntityRef::Vertex(v), "bikes",

@@ -235,13 +235,13 @@ TEST(SlowQueryLogTest, RingBufferKeepsMostRecent) {
   obs::SlowQueryLog log;
   log.set_threshold_nanos(1);
   for (size_t i = 0; i < log.capacity() + 10; ++i) {
-    log.MaybeRecord("q" + std::to_string(i), "b", 5);
+    log.MaybeRecord(std::string("q").append(std::to_string(i)), "b", 5);
   }
   const auto entries = log.Entries();
   ASSERT_EQ(entries.size(), log.capacity());
   EXPECT_EQ(entries.front().query, "q10");
   EXPECT_EQ(entries.back().query,
-            "q" + std::to_string(log.capacity() + 9));
+            std::string("q").append(std::to_string(log.capacity() + 9)));
 }
 
 }  // namespace

@@ -148,14 +148,16 @@ TEST(StreamTest, HighVolumeIngestKeepsIntegrity) {
   for (int s = 0; s < 10; ++s) {
     ASSERT_TRUE(stream
                     .Apply(UpdateEvent::AddTsVertex(
-                        0, "s" + std::to_string(s), {"Sensor"}, {"v"}))
+                        0, std::string("s").append(std::to_string(s)),
+                        {"Sensor"}, {"v"}))
                     .ok());
   }
   for (int t = 1; t <= 600; ++t) {
     for (int s = 0; s < 10; ++s) {
       ASSERT_TRUE(stream
                       .Apply(UpdateEvent::Sample(
-                          t * kMinute, "s" + std::to_string(s),
+                          t * kMinute,
+                          std::string("s").append(std::to_string(s)),
                           {static_cast<double>(t + s)}))
                       .ok());
     }
