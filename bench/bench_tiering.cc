@@ -10,9 +10,16 @@
 //     issues more than one segment fsync — a structural gate (the tier
 //     keeps one segment file per epoch), not a timing one, so it also
 //     holds under --smoke
+//   * durable bytes per sample on a regular 5-minute grid (16 stations x
+//     4 days, one batch per station): WAL bytes per logged sample and
+//     installed-snapshot bytes per hot sample. Exits 1 when either exceeds
+//     4 B — a byte-count gate (sample runs travel as chunk-codec frames in
+//     the WAL and in the snapshot, ~2 B/sample), so it also holds under
+//     --smoke
 //
 // Results go to stdout and to BENCH_tiering.json in the working directory.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -230,6 +237,83 @@ bool BenchManySeriesCheckpoint() {
   return true;
 }
 
+/// Returns false when the WAL logs more than 4 B per sample or the
+/// installed snapshot holds more than 4 B per hot sample.
+bool BenchDurableBytesPerSample() {
+  PrintHeader("Durable bytes per sample (16 stations x 4 days, 5-min grid)");
+  constexpr int kStations = 16;
+  constexpr int kSamplesPerStation = 4 * 288;  // the fourth day stays hot
+  constexpr Timestamp kStep = 300'000;
+  constexpr double kMaxBytesPerSample = 4.0;
+  const std::string dir = FreshDir();
+  auto store = std::make_unique<DurableStore>(
+      Env::Default(), dir + "/store",
+      std::make_unique<storage::PolyglotStore>(), Tiered(64u << 20));
+  if (!store->Open().ok()) std::exit(1);
+  for (int s = 0; s < kStations; ++s) {
+    if (!store->AddVertex({"Station"}, {}).ok()) std::exit(1);
+  }
+  // Bike counts: a bounded random walk per station, like the bike-sharing
+  // generator's.
+  uint64_t rng = 42;
+  const uint64_t wal_before = CounterValue(*store, "wal.bytes_appended");
+  for (int s = 0; s < kStations; ++s) {
+    std::vector<query::SampleWrite> batch;
+    double bikes = 10;
+    for (int i = 0; i < kSamplesPerStation; ++i) {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      constexpr double kSteps[4] = {-1.0, 0.0, 0.0, 1.0};
+      bikes = std::clamp(bikes + kSteps[rng >> 62], 0.0, 20.0);
+      batch.push_back({query::EntityRef::Vertex(static_cast<uint64_t>(s)),
+                       "bikes", i * kStep, bikes});
+    }
+    if (!store->AppendSamples(batch).ok()) std::exit(1);
+  }
+  const double samples = double(kStations) * kSamplesPerStation;
+  const double wal_per_sample =
+      double(CounterValue(*store, "wal.bytes_appended") - wal_before) /
+      samples;
+  if (!store->Checkpoint().ok()) std::exit(1);
+  double snapshot_bytes = 0;
+  std::vector<std::string> children;
+  if (!Env::Default()->GetChildren(dir + "/store", &children).ok()) {
+    std::exit(1);
+  }
+  for (const std::string& child : children) {
+    if (child.rfind("snapshot-", 0) != 0) continue;
+    auto size = Env::Default()->GetFileSize(dir + "/store/" + child);
+    if (!size.ok()) std::exit(1);
+    snapshot_bytes += double(*size);
+  }
+  const ts::HypertableMemory mem =
+      store->inner()->series_hypertable()->MemoryUsage();
+  const double hot = double(mem.hot_samples + mem.sealed_samples);
+  const double snapshot_per_sample = hot == 0 ? 0.0 : snapshot_bytes / hot;
+  Report("durable_wal_bytes_per_sample", wal_per_sample, "B");
+  Report("durable_snapshot_bytes", snapshot_bytes, "B");
+  Report("durable_snapshot_hot_samples", hot, "samples");
+  Report("durable_snapshot_bytes_per_hot_sample", snapshot_per_sample, "B");
+  store.reset();
+  std::system(("rm -rf " + dir).c_str());
+  bool ok = true;
+  if (wal_per_sample > kMaxBytesPerSample) {
+    std::fprintf(stderr,
+                 "the WAL logged %.2f B per sample; sample runs must travel "
+                 "as chunk-codec frames (<= %.0f B/sample)\n",
+                 wal_per_sample, kMaxBytesPerSample);
+    ok = false;
+  }
+  if (hot == 0 || snapshot_per_sample > kMaxBytesPerSample) {
+    std::fprintf(stderr,
+                 "the snapshot holds %.2f B per hot sample (%.0f hot "
+                 "samples); hot tails must travel as chunk-codec frames "
+                 "(<= %.0f B/sample)\n",
+                 snapshot_per_sample, hot, kMaxBytesPerSample);
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace hygraph::bench
 
@@ -241,6 +325,7 @@ int main(int argc, char** argv) {
   hygraph::bench::BenchSpillThroughput();
   hygraph::bench::BenchRecoveryVsColdFraction();
   const bool one_sync = hygraph::bench::BenchManySeriesCheckpoint();
+  const bool compact = hygraph::bench::BenchDurableBytesPerSample();
   hygraph::bench::WriteJson("tiering");
-  return one_sync ? 0 : 1;
+  return one_sync && compact ? 0 : 1;
 }

@@ -1,0 +1,6 @@
+#include "fuzz/harness.h"
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  hygraph::fuzz::FuzzSampleRuns(data, size);
+  return 0;
+}

@@ -14,7 +14,8 @@ namespace hygraph::fuzz {
 /// sanitizer report, or failed HYGRAPH_FUZZ_CHECK is a bug.
 ///
 /// The same functions back both the libFuzzer targets (fuzz_wal_reader,
-/// fuzz_serialize_load, fuzz_hgql_parse, fuzz_chunk_codec, fuzz_wire_frame; built under
+/// fuzz_serialize_load, fuzz_hgql_parse, fuzz_chunk_codec, fuzz_wire_frame,
+/// fuzz_segment_load, fuzz_sample_runs, fuzz_snapshot_image; built under
 /// -DHYGRAPH_FUZZ=ON) and
 /// the deterministic corpus replay in tests/fuzz_corpus_test.cc, so the
 /// harnesses cannot rot independently of the test suite.
@@ -41,6 +42,16 @@ void FuzzWireFrame(const uint8_t* data, size_t size);
 /// SegmentStore::LoadCatalog + Pin + ts::DecodeChunk with the same bytes
 /// planted as segment files — the full cold-chunk adoption frontier.
 void FuzzSegmentLoad(const uint8_t* data, size_t size);
+
+/// storage::DecodeSampleRuns over the body of a "CB" WAL record (accept or
+/// kCorruption, encode/decode fixed point), then the same body replayed as
+/// a logged record by a recovering DurableStore.
+void FuzzSampleRuns(const uint8_t* data, size_t size);
+
+/// storage::DecodeSnapshotImage over the checkpoint snapshot layout, as
+/// given and re-framed with a valid CRC trailer (accept or kCorruption,
+/// encode/decode fixed point), then restored by DurableStore::Open.
+void FuzzSnapshotImage(const uint8_t* data, size_t size);
 
 }  // namespace hygraph::fuzz
 

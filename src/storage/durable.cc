@@ -11,6 +11,7 @@
 #include "obs/clock.h"
 #include "core/hygraph.h"
 #include "core/serialize.h"
+#include "storage/durable_format.h"
 #include "ts/hypertable.h"
 #include "ts/multiseries.h"
 
@@ -24,18 +25,22 @@ constexpr char kSnapshotSeriesPrefix[] = "__durable_series__";
 
 // -- WAL record payload encoding ---------------------------------------------
 //
-// One text line per record: "<seq> <op> <operands...>", strings
-// percent-encoded with core::EncodeField, values tagged like the
-// serialization format (n, b:0/1, i:<int>, d:<double>, s:<string>), doubles
-// in shortest round-trip form (FormatDouble).
+// Every record starts "<seq> <op> ". Topology records continue as text
+// operands: strings percent-encoded with core::EncodeField, values tagged
+// like the serialization format (n, b:0/1, i:<int>, d:<double>,
+// s:<string>), doubles in shortest round-trip form (FormatDouble).
 //
-// A sample batch is one "AB" record grouping runs of consecutive samples
-// that share an entity and key:
+// A sample batch is one "CB" record whose operands are binary: the batch's
+// runs of consecutive samples sharing an entity and key, in the
+// durable_format.h sample-runs layout (one chunk-codec frame per run):
+//
+//   <seq> CB <EncodeSampleRuns(runs)>
+//
+// Earlier builds wrote text sample records, which ApplyRecord still
+// replays so their directories open:
 //
 //   <seq> AB <runs> { <V|E> <id> <key> <n> { <t> <value> }×n }×runs
-//
-// "AV"/"AE" (one sample per record) are no longer written; ApplyRecord
-// still decodes them so logs from earlier builds replay.
+//   <seq> AV|AE <id> <key> <t> <value>          (one sample per record)
 
 std::string EncodeValue(const Value& value) {
   switch (value.type()) {
@@ -215,36 +220,32 @@ class RecordCursor {
   size_t pos_ = 0;
 };
 
-bool SameSeries(const query::SampleWrite& a, const query::SampleWrite& b) {
-  return a.entity == b.entity && a.key == b.key;
-}
+/// The "<seq> <op> " prefix every record starts with, and what follows it.
+struct RecordHeader {
+  uint64_t seq = 0;
+  std::string_view op;
+  std::string_view operands;
+};
 
-std::string EncodeSampleBatch(std::span<const query::SampleWrite> samples) {
-  size_t runs = 0;
-  for (size_t i = 0; i < samples.size(); ++i) {
-    if (i == 0 || !SameSeries(samples[i - 1], samples[i])) ++runs;
+Result<RecordHeader> ParseRecordHeader(std::string_view record) {
+  const size_t seq_end = record.find(' ');
+  if (record.empty() || seq_end == 0) {
+    return Status::Corruption("WAL record ended unexpectedly");
   }
-  std::string out = "AB " + std::to_string(runs);
-  out.reserve(out.size() + samples.size() * 24);
-  for (size_t i = 0; i < samples.size();) {
-    size_t end = i + 1;
-    while (end < samples.size() && SameSeries(samples[i], samples[end])) {
-      ++end;
-    }
-    out += samples[i].entity.kind == query::EntityRef::kVertex ? " V " : " E ";
-    out += std::to_string(samples[i].entity.id);
-    out += ' ';
-    out += core::EncodeField(samples[i].key);
-    out += ' ';
-    out += std::to_string(end - i);
-    for (; i < end; ++i) {
-      out += ' ';
-      out += std::to_string(samples[i].t);
-      out += ' ';
-      AppendDouble(&out, samples[i].value);
-    }
+  RecordHeader header;
+  // strtoull semantics, as text records always had: leading digits, else 0.
+  for (size_t i = 0; i < record.size() && record[i] >= '0' && record[i] <= '9';
+       ++i) {
+    header.seq = header.seq * 10 + static_cast<uint64_t>(record[i] - '0');
   }
-  return out;
+  if (seq_end == std::string_view::npos) return header;
+  const std::string_view rest = record.substr(seq_end + 1);
+  const size_t op_end = rest.find(' ');
+  header.op = rest.substr(0, op_end);
+  if (op_end != std::string_view::npos) {
+    header.operands = rest.substr(op_end + 1);
+  }
+  return header;
 }
 
 Status CheckDenseIds(const graph::PropertyGraph& graph) {
@@ -265,22 +266,19 @@ Status CheckDenseIds(const graph::PropertyGraph& graph) {
 
 }  // namespace
 
-// -- snapshot text ------------------------------------------------------------
+// -- snapshots ----------------------------------------------------------------
 
 namespace {
 
-/// Shared body of the full and the resident-only snapshot builders. With
-/// `resident_only == nullptr` every sample of every series is serialized
-/// (the canonical full-state text). With a hypertable, only samples whose
-/// chunks are NOT cold-covered are written — the cold tier's segment files
+/// Calls `fn(entity, key, samples)` for every series of `backend`, vertices
+/// then edges in id order, keys sorted. With `resident_only == nullptr`
+/// every sample of every series is visited. With a hypertable, only samples
+/// whose chunks are NOT cold-covered are: the cold tier's segment files
 /// plus the paired catalog own the rest, which is what makes a tiered
 /// snapshot (and recovery) O(hot data).
-Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
-                                          const ts::HypertableStore* resident_only) {
-  HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(backend.topology()));
-  auto hg = core::FromPropertyGraph(backend.topology());
-  if (!hg.ok()) return hg.status();
-  if (backend.SeriesEmbeddedInTopology()) return core::Serialize(*hg);
+template <typename Fn>
+Status ForEachSeries(const query::QueryBackend& backend,
+                     const ts::HypertableStore* resident_only, Fn&& fn) {
   std::unordered_map<std::string, SeriesId> sid_by_name;
   if (resident_only != nullptr) {
     for (SeriesId sid : resident_only->Ids()) {
@@ -312,40 +310,47 @@ Result<std::string> BuildSnapshotTextImpl(const query::QueryBackend& backend,
       for (const std::string& key : backend.SeriesKeys(entity)) {
         auto samples = collect(entity, key);
         if (!samples.ok()) return samples.status();
-        ts::MultiSeries ms(key, {"value"});
-        for (const ts::Sample& s : *samples) {
-          HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
-        }
-        const std::string property = kSnapshotSeriesPrefix + key;
-        auto sid =
-            entity.is_edge()
-                ? hg->SetEdgeSeriesProperty(id, property, std::move(ms))
-                : hg->SetVertexSeriesProperty(id, property, std::move(ms));
-        if (!sid.ok()) return sid.status();
+        HYGRAPH_RETURN_IF_ERROR(fn(entity, key, std::move(*samples)));
       }
     }
   }
-  return core::Serialize(*hg);
+  return Status::OK();
 }
 
-}  // namespace
-
-Result<std::string> BuildSnapshotText(const query::QueryBackend& backend) {
-  return BuildSnapshotTextImpl(backend, nullptr);
-}
-
-Status RestoreFromSnapshotText(const std::string& text,
-                               query::QueryBackend* backend) {
-  // Snapshots are always written with the trailer; its absence means the
-  // file lost its tail in a way that still parses — reject, never guess.
-  if (text.find("\nCHECKSUM ") == std::string::npos) {
-    return Status::Corruption("snapshot is missing its CHECKSUM trailer");
-  }
-  auto hg = core::Deserialize(text);
+/// What a checkpoint installs. A store that keeps its series beside the
+/// graph writes a snapshot image: topology text plus one chunk-codec run
+/// per series with resident samples. A store that embeds its samples in
+/// the topology (all-in-graph) has only the topology to write, as text.
+Result<std::string> BuildCheckpointSnapshot(
+    const query::QueryBackend& backend,
+    const ts::HypertableStore* resident_only) {
+  HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(backend.topology()));
+  auto hg = core::FromPropertyGraph(backend.topology());
   if (!hg.ok()) return hg.status();
+  auto topology = core::Serialize(*hg);
+  if (!topology.ok()) return topology.status();
+  if (backend.SeriesEmbeddedInTopology()) return topology;
+  SnapshotImage image;
+  image.topology = std::move(*topology);
+  HYGRAPH_RETURN_IF_ERROR(ForEachSeries(
+      backend, resident_only,
+      [&](query::EntityRef entity, const std::string& key,
+          std::vector<ts::Sample> samples) {
+        // A series whose samples are all cold is re-created by the catalog
+        // on recovery; an empty run would add nothing.
+        if (!samples.empty()) {
+          image.series.push_back({entity, key, std::move(samples)});
+        }
+        return Status::OK();
+      }));
+  return EncodeSnapshotImage(image);
+}
 
+/// Re-adds `structure`'s vertices and edges (static properties only) to a
+/// freshly constructed backend, checking that every id comes back the same.
+Status RestoreTopology(const graph::PropertyGraph& structure,
+                       query::QueryBackend* backend) {
   graph::PropertyGraph* topo = backend->mutable_topology();
-  const graph::PropertyGraph& structure = hg->structure();
   const auto static_props = [](const graph::PropertyMap& props) {
     graph::PropertyMap out;
     for (const auto& [key, value] : props) {
@@ -372,6 +377,68 @@ Status RestoreFromSnapshotText(const std::string& text,
     if (!assigned.ok()) return assigned.status();
     if (*assigned != e) return id_mismatch("edge", *assigned, e);
   }
+  return Status::OK();
+}
+
+/// Restores an installed snapshot of either layout: a snapshot image, or
+/// text (all-in-graph checkpoints, and every checkpoint of earlier builds).
+Status RestoreFromSnapshot(const std::string& bytes,
+                           query::QueryBackend* backend) {
+  if (!IsSnapshotImage(bytes)) return RestoreFromSnapshotText(bytes, backend);
+  auto image = DecodeSnapshotImage(bytes);
+  if (!image.ok()) return image.status();
+  auto hg = core::Deserialize(image->topology);
+  if (!hg.ok()) return hg.status();
+  HYGRAPH_RETURN_IF_ERROR(RestoreTopology(hg->structure(), backend));
+  // One AppendSamples batch per series, as the text restore does.
+  std::vector<query::SampleWrite> batch;
+  for (const SampleRun& run : image->series) {
+    batch.clear();
+    for (const ts::Sample& s : run.samples) {
+      batch.push_back({run.entity, run.key, s.t, s.value});
+    }
+    HYGRAPH_RETURN_IF_ERROR(backend->AppendSamples(batch));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::string> BuildSnapshotText(const query::QueryBackend& backend) {
+  HYGRAPH_RETURN_IF_ERROR(CheckDenseIds(backend.topology()));
+  auto hg = core::FromPropertyGraph(backend.topology());
+  if (!hg.ok()) return hg.status();
+  if (backend.SeriesEmbeddedInTopology()) return core::Serialize(*hg);
+  HYGRAPH_RETURN_IF_ERROR(ForEachSeries(
+      backend, nullptr,
+      [&](query::EntityRef entity, const std::string& key,
+          std::vector<ts::Sample> samples) -> Status {
+        ts::MultiSeries ms(key, {"value"});
+        for (const ts::Sample& s : samples) {
+          HYGRAPH_RETURN_IF_ERROR(ms.AppendRow(s.t, {s.value}));
+        }
+        const std::string property = kSnapshotSeriesPrefix + key;
+        auto sid = entity.is_edge()
+                       ? hg->SetEdgeSeriesProperty(entity.id, property,
+                                                   std::move(ms))
+                       : hg->SetVertexSeriesProperty(entity.id, property,
+                                                     std::move(ms));
+        return sid.ok() ? Status::OK() : sid.status();
+      }));
+  return core::Serialize(*hg);
+}
+
+Status RestoreFromSnapshotText(const std::string& text,
+                               query::QueryBackend* backend) {
+  // Snapshots are always written with the trailer; its absence means the
+  // file lost its tail in a way that still parses — reject, never guess.
+  if (text.find("\nCHECKSUM ") == std::string::npos) {
+    return Status::Corruption("snapshot is missing its CHECKSUM trailer");
+  }
+  auto hg = core::Deserialize(text);
+  if (!hg.ok()) return hg.status();
+  const graph::PropertyGraph& structure = hg->structure();
+  HYGRAPH_RETURN_IF_ERROR(RestoreTopology(structure, backend));
 
   // Re-ingest the series that were carried as pooled series properties,
   // one AppendSamples batch per series.
@@ -421,6 +488,7 @@ DurableStore::DurableStore(Env* env, std::string dir,
       samples_logged_(metrics_->counter("durable.samples_logged")),
       checkpoints_(metrics_->counter("durable.checkpoints")),
       checkpoint_nanos_(metrics_->histogram("durable.checkpoint_nanos")),
+      snapshot_bytes_(metrics_->histogram("durable.snapshot_bytes")),
       retries_(metrics_->counter("durable.retries")),
       wal_rebuilds_(metrics_->counter("durable.wal_rebuilds")),
       degraded_gauge_(metrics_->gauge("durable.degraded")),
@@ -476,7 +544,7 @@ Status DurableStore::Open() {
     std::string text;
     HYGRAPH_RETURN_IF_ERROR(
         env_->ReadFileToString(SnapshotPath(snap_seq), &text));
-    HYGRAPH_RETURN_IF_ERROR(RestoreFromSnapshotText(text, inner_.get()));
+    HYGRAPH_RETURN_IF_ERROR(RestoreFromSnapshot(text, inner_.get()));
     recovery_.snapshot_loaded = true;
     recovery_.snapshot_seq = snap_seq;
   }
@@ -528,14 +596,13 @@ Status DurableStore::Open() {
   std::vector<const std::string*> live_records;
   size_t live_weight = 0;
   for (const std::string& record : scan->records) {
-    RecordCursor cursor(record);
-    auto seq = cursor.NextUint();
-    if (!seq.ok()) return seq.status();
-    if (*seq <= snap_seq) {
+    auto header = ParseRecordHeader(record);
+    if (!header.ok()) return header.status();
+    if (header->seq <= snap_seq) {
       ++recovery_.wal_records_skipped;
       continue;
     }
-    if (*seq > max_seq) max_seq = *seq;
+    if (header->seq > max_seq) max_seq = header->seq;
     size_t weight = 1;
     if (ApplyRecord(record, &weight).ok()) {
       ++recovery_.wal_records_replayed;
@@ -701,20 +768,27 @@ void DurableStore::MaybeAutoCheckpoint() {
 
 Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
   *weight = 1;
-  RecordCursor cursor(record);
-  auto seq = cursor.NextUint();
-  if (!seq.ok()) return seq.status();
-  auto op = cursor.Next();
-  if (!op.ok()) return op.status();
+  auto header = ParseRecordHeader(record);
+  if (!header.ok()) return header.status();
+  if (header->op == "CB") {
+    auto runs = DecodeSampleRuns(header->operands);
+    if (!runs.ok()) return runs.status();
+    const std::vector<query::SampleWrite> batch = FlattenSampleRuns(*runs);
+    *weight = std::max<size_t>(batch.size(), 1);
+    // Stops at the first failing sample, exactly like the original call.
+    return inner_->AppendSamples(batch);
+  }
+  RecordCursor cursor(std::string(header->operands));
+  const std::string op(header->op);
   graph::PropertyGraph* topo = inner_->mutable_topology();
-  if (*op == "AB") {
+  if (op == "AB") {
     auto batch = cursor.NextSampleBatch();
     if (!batch.ok()) return batch.status();
     *weight = std::max<size_t>(batch->size(), 1);
     // Stops at the first failing sample, exactly like the original call.
     return inner_->AppendSamples(*batch);
   }
-  if (*op == "AV" || *op == "AE") {
+  if (op == "AV" || op == "AE") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
     auto key = cursor.NextDecoded();
@@ -724,11 +798,11 @@ Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
     auto value = cursor.NextDouble();
     if (!value.ok()) return value.status();
     const query::EntityRef entity{
-        *op == "AV" ? query::EntityRef::kVertex : query::EntityRef::kEdge,
+        op == "AV" ? query::EntityRef::kVertex : query::EntityRef::kEdge,
         *id};
     return inner_->AppendSample({entity, *key, *t, *value});
   }
-  if (*op == "NV") {
+  if (op == "NV") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
     auto labels = cursor.NextLabels();
@@ -744,7 +818,7 @@ Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
     }
     return Status::OK();
   }
-  if (*op == "NE") {
+  if (op == "NE") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
     auto src = cursor.NextUint();
@@ -765,23 +839,23 @@ Status DurableStore::ApplyRecord(const std::string& record, size_t* weight) {
     }
     return Status::OK();
   }
-  if (*op == "SV" || *op == "SE") {
+  if (op == "SV" || op == "SE") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
     auto key = cursor.NextDecoded();
     if (!key.ok()) return key.status();
     auto value = cursor.NextValue();
     if (!value.ok()) return value.status();
-    return *op == "SV"
+    return op == "SV"
                ? topo->SetVertexProperty(*id, *key, std::move(*value))
                : topo->SetEdgeProperty(*id, *key, std::move(*value));
   }
-  if (*op == "RV" || *op == "RE") {
+  if (op == "RV" || op == "RE") {
     auto id = cursor.NextUint();
     if (!id.ok()) return id.status();
-    return *op == "RV" ? topo->RemoveVertex(*id) : topo->RemoveEdge(*id);
+    return op == "RV" ? topo->RemoveVertex(*id) : topo->RemoveEdge(*id);
   }
-  return Status::Corruption("unknown WAL op '" + *op + "'");
+  return Status::Corruption("unknown WAL op '" + op + "'");
 }
 
 // -- logged mutations ---------------------------------------------------------
@@ -954,8 +1028,8 @@ Status DurableStore::CheckpointImpl() {
     end_stage(stage_nanos_.segment_sync);
   }
 
-  auto text = BuildSnapshotTextImpl(*inner_, tiered_ht);
-  if (!text.ok()) return text.status();
+  auto snapshot = BuildCheckpointSnapshot(*inner_, tiered_ht);
+  if (!snapshot.ok()) return snapshot.status();
   end_stage(stage_nanos_.snapshot_build);
   const uint64_t snap_seq = next_seq_ - 1;
   if (tiered_ht != nullptr) {
@@ -978,12 +1052,13 @@ Status DurableStore::CheckpointImpl() {
       [&] {
         std::unique_ptr<WritableFile> file;
         HYGRAPH_RETURN_IF_ERROR(env_->NewWritableFile(tmp, &file));
-        HYGRAPH_RETURN_IF_ERROR(file->Append(*text));
+        HYGRAPH_RETURN_IF_ERROR(file->Append(*snapshot));
         HYGRAPH_RETURN_IF_ERROR(file->Sync());
         HYGRAPH_RETURN_IF_ERROR(file->Close());
         return env_->RenameFile(tmp, SnapshotPath(snap_seq));
       },
       retries_));
+  snapshot_bytes_->Record(snapshot->size());
   end_stage(stage_nanos_.install);
 
   // The new snapshot is durable; everything from here is garbage
@@ -1108,7 +1183,8 @@ Status DurableStore::AppendSamples(
   if (samples.empty()) return Status::OK();
   // Log first, then apply: a sample that fails to apply is in the record
   // too, and replay stops at it again.
-  HYGRAPH_RETURN_IF_ERROR(Log(EncodeSampleBatch(samples), samples.size()));
+  HYGRAPH_RETURN_IF_ERROR(Log(
+      "CB " + EncodeSampleRuns(GroupSampleRuns(samples)), samples.size()));
   Status s = inner_->AppendSamples(samples);
   MaybeAutoCheckpoint();
   return s;

@@ -83,11 +83,15 @@ struct RecoveryStats {
 ///   * Every mutation routed through this class is first appended to a
 ///     CRC-framed WAL (fsynced per record under DurableOptions::sync_wal),
 ///     then applied to the wrapped backend.
-///   * Checkpoint() serializes the full backend state through
-///     core::Serialize (checksum trailer included) to `snapshot.tmp`,
-///     fsyncs, atomically renames to `snapshot-<seq>.hyg`, then starts a
-///     fresh WAL epoch. A crash at any point leaves either the old or the
-///     new snapshot installed, never a torn one.
+///   * Checkpoint() writes the backend state to `snapshot.tmp`, fsyncs,
+///     atomically renames to `snapshot-<seq>.hyg`, then starts a fresh WAL
+///     epoch. A crash at any point leaves either the old or the new
+///     snapshot installed, never a torn one. A polyglot store's snapshot is
+///     a CRC-trailed image (durable_format.h): the topology as
+///     core::Serialize text plus one chunk-codec run per series; an
+///     all-in-graph store's is core::Serialize text (checksum trailer
+///     included). Open() reads both, and the text snapshots of earlier
+///     builds.
 ///   * Open() = load newest snapshot + replay the WAL tail, tolerating a
 ///     torn final record (truncate-and-recover, reported in RecoveryStats).
 ///
@@ -199,8 +203,9 @@ class DurableStore final : public query::QueryBackend {
       const std::function<Status(graph::PropertyGraph*)>& fn) override;
   /// Pins the wrapped backend's read view; the WAL plays no part in reads.
   std::shared_ptr<const query::QueryBackend> BeginSnapshot() const override;
-  /// The one logged sample path: one append-mutex hold, one "AB" WAL
-  /// record (one write(2)) for the whole batch, then the samples applied
+  /// The one logged sample path: one append-mutex hold, one "CB" WAL
+  /// record (one write(2); one chunk-codec frame per run of samples
+  /// sharing an entity and key) for the whole batch, then the samples applied
   /// in order up to the first failure. Replay applies the same prefix, so
   /// the recovered state always matches what the caller was told.
   Status AppendSamples(std::span<const query::SampleWrite> samples) override;
@@ -299,6 +304,8 @@ class DurableStore final : public query::QueryBackend {
   obs::Counter* samples_logged_ = nullptr;
   obs::Counter* checkpoints_ = nullptr;
   obs::Histogram* checkpoint_nanos_ = nullptr;
+  /// Size of each installed snapshot file, recorded at install.
+  obs::Histogram* snapshot_bytes_ = nullptr;
   obs::Counter* retries_ = nullptr;
   obs::Counter* wal_rebuilds_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;
@@ -359,8 +366,9 @@ class DurableStore final : public query::QueryBackend {
 /// Serializes a backend's full logical state (topology + every series)
 /// through the core::Serialize text format, series attached as pooled
 /// series properties named "__durable_series__<key>" unless the backend
-/// embeds samples in the topology. Requires dense ids. Exposed for tests
-/// and for state comparison (the text is canonical).
+/// embeds samples in the topology. Requires dense ids. The text is the
+/// canonical state signature tests compare; it is also the snapshot layout
+/// of earlier builds, which RestoreFromSnapshotText reads back.
 Result<std::string> BuildSnapshotText(const query::QueryBackend& backend);
 
 /// Rebuilds backend state from BuildSnapshotText output, re-ingesting each

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace hygraph::storage {
 
@@ -270,10 +271,22 @@ Result<SeriesId> PolyglotStore::ResolveForWrite(EntityRef entity,
 
 Status PolyglotStore::AppendSamples(
     std::span<const query::SampleWrite> samples) {
-  for (const query::SampleWrite& s : samples) {
-    auto sid = ResolveForWrite(s.entity, s.key);
+  // One resolve and one hypertable insert (one series lock) per run of
+  // consecutive samples sharing (entity, key); runs apply in order, and
+  // InsertSamples applies its run in order, so the batch still stops at
+  // the first failing sample.
+  std::vector<ts::Sample> run;
+  for (size_t i = 0; i < samples.size();) {
+    const query::SampleWrite& head = samples[i];
+    auto sid = ResolveForWrite(head.entity, head.key);
     if (!sid.ok()) return sid.status();
-    HYGRAPH_RETURN_IF_ERROR(series_.Insert(*sid, s.t, s.value));
+    run.clear();
+    for (; i < samples.size() && samples[i].entity == head.entity &&
+           samples[i].key == head.key;
+         ++i) {
+      run.push_back({samples[i].t, samples[i].value});
+    }
+    HYGRAPH_RETURN_IF_ERROR(series_.InsertSamples(*sid, run));
   }
   return Status::OK();
 }

@@ -42,38 +42,55 @@ uint64_t ZigZag(uint64_t x) {
 
 uint64_t UnZigZag(uint64_t z) { return (z >> 1) ^ (0 - (z & 1)); }
 
-// MSB-first bit sink backed by a std::string.
+// MSB-first bit sink appending to a std::string. Bits collect from the
+// top of a 64-bit accumulator, which is appended eight bytes at a time.
 class BitWriter {
  public:
-  void WriteBit(uint64_t bit) {
-    if (free_bits_ == 0) {
-      bytes_.push_back('\0');
-      free_bits_ = 8;
-    }
-    --free_bits_;
-    bytes_.back() = static_cast<char>(
-        static_cast<uint8_t>(bytes_.back()) |
-        static_cast<uint8_t>((bit & 1) << free_bits_));
-  }
+  explicit BitWriter(std::string* out) : out_(out) {}
+
+  void WriteBit(uint64_t bit) { WriteBits(bit & 1, 1); }
 
   // Writes the low `n` bits of `value`, most significant first; n <= 64.
   void WriteBits(uint64_t value, size_t n) {
-    for (size_t i = n; i > 0; --i) {
-      WriteBit((value >> (i - 1)) & 1);
+    if (n == 0) return;
+    if (n < 64) value &= (uint64_t{1} << n) - 1;
+    const size_t free = 64 - used_;
+    if (n < free) {
+      acc_ |= value << (free - n);
+      used_ += n;
+      return;
     }
+    // Fill the accumulator, append it, and start the next with the rest.
+    const size_t rest = n - free;
+    acc_ |= value >> rest;
+    const uint64_t big_endian = __builtin_bswap64(acc_);
+    out_->append(reinterpret_cast<const char*>(&big_endian), 8);
+    acc_ = rest == 0 ? 0 : value << (64 - rest);
+    used_ = rest;
   }
 
-  const std::string& bytes() const { return bytes_; }
+  // Appends the pending bits, zero-padded to a whole byte.
+  void Finish() {
+    for (size_t i = 0; i < (used_ + 7) / 8; ++i) {
+      out_->push_back(static_cast<char>(acc_ >> (56 - 8 * i)));
+    }
+    acc_ = 0;
+    used_ = 0;
+  }
 
  private:
-  std::string bytes_;
-  int free_bits_ = 0;
+  std::string* out_;
+  uint64_t acc_ = 0;
+  size_t used_ = 0;  // bits of acc_ in use, from the top; < 64 between calls
 };
 
 }  // namespace
 
 std::string EncodeChunk(const std::vector<Sample>& samples) {
   std::string out;
+  // Room for the headers, a timestamp byte per sample and ~2 value bytes
+  // per sample (a regular grid of slowly moving values).
+  out.reserve(24 + samples.size() * 3);
   PutVarint(&out, samples.size());
   if (samples.empty()) return out;
 
@@ -98,7 +115,7 @@ std::string EncodeChunk(const std::vector<Sample>& samples) {
   out += ts_column;
 
   // Value column: Gorilla XOR bitstream over the raw bit patterns.
-  BitWriter bits;
+  BitWriter bits(&out);
   uint64_t prev_bits = std::bit_cast<uint64_t>(samples[0].value);
   bits.WriteBits(prev_bits, 64);
   int window_lead = -1;
@@ -127,7 +144,7 @@ std::string EncodeChunk(const std::vector<Sample>& samples) {
       window_trail = trail;
     }
   }
-  out += bits.bytes();
+  bits.Finish();
   return out;
 }
 

@@ -125,13 +125,17 @@ size_t HypertableStore::ChunkIndexFor(std::vector<Chunk>& chunks,
 
 void HypertableStore::InsertIntoChunk(Chunk& chunk, Timestamp t,
                                       double value) {
-  auto pos = std::lower_bound(
-      chunk.samples.begin(), chunk.samples.end(), t,
-      [](const Sample& s, Timestamp ts) { return s.t < ts; });
-  if (pos != chunk.samples.end() && pos->t == t) {
-    pos->value = value;
+  if (chunk.samples.empty() || chunk.samples.back().t < t) {
+    chunk.samples.push_back(Sample{t, value});  // the in-order append
   } else {
-    chunk.samples.insert(pos, Sample{t, value});
+    auto pos = std::lower_bound(
+        chunk.samples.begin(), chunk.samples.end(), t,
+        [](const Sample& s, Timestamp ts) { return s.t < ts; });
+    if (pos != chunk.samples.end() && pos->t == t) {
+      pos->value = value;
+    } else {
+      chunk.samples.insert(pos, Sample{t, value});
+    }
   }
   // Relaxed is enough: the writer holds the shard lock exclusively, so no
   // reader can observe the flag until the lock is released (which orders).
@@ -334,43 +338,38 @@ Result<HypertableStore::SeriesReadView> HypertableStore::PinView(
   return view;
 }
 
-Status HypertableStore::InsertRaw(std::vector<Chunk>& chunks, Timestamp t,
-                                  double value) {
-  Chunk& chunk = chunks[ChunkIndexFor(chunks, t)];
-  if (chunk.is_sealed()) HYGRAPH_RETURN_IF_ERROR(Unseal(chunk));
-  InsertIntoChunk(chunk, t, value);
-  return Status::OK();
-}
-
-Status HypertableStore::Insert(SeriesId id, Timestamp t, double value) {
+Status HypertableStore::InsertSamples(SeriesId id,
+                                      std::span<const Sample> samples) {
   StoredSeries* s = FindSeries(id);
   if (s == nullptr) return NoSuchSeries(id);
+  if (samples.empty()) return Status::OK();
   ExclusiveLock lock(s->mu);
   std::vector<Chunk>& chunks = MutableChunks(*s);
-  const size_t chunks_before = chunks.size();
-  const size_t idx = ChunkIndexFor(chunks, t);
-  Chunk& chunk = chunks[idx];
-  if (chunk.is_sealed()) HYGRAPH_RETURN_IF_ERROR(Unseal(chunk));
-  InsertIntoChunk(chunk, t, value);
-  if (!options_.compress_sealed_chunks) return Status::OK();
-  // Keep the invariant "only the newest chunk is hot": an out-of-order
-  // write into a cold chunk reseals it immediately, and opening a fresh
-  // newest chunk seals whatever was hot before it.
-  if (idx + 1 < chunks.size()) Seal(chunks[idx]);
-  if (chunks.size() > chunks_before) SealColdChunks(chunks);
-  return Status::OK();
-}
-
-Status HypertableStore::InsertSeries(SeriesId id, const Series& series) {
-  StoredSeries* stored = FindSeries(id);
-  if (stored == nullptr) return NoSuchSeries(id);
-  ExclusiveLock lock(stored->mu);
-  std::vector<Chunk>& chunks = MutableChunks(*stored);
-  for (const Sample& s : series.samples()) {
-    HYGRAPH_RETURN_IF_ERROR(InsertRaw(chunks, s.t, s.value));
+  Status status = Status::OK();
+  // Set when a sample lands behind the newest chunk or opens a new one:
+  // only then can a chunk other than the newest be hot at the end.
+  bool touched_cold = false;
+  size_t idx = chunks.size();  // no chunk resolved yet
+  for (const Sample& sample : samples) {
+    // Consecutive samples mostly share a chunk: only re-resolve when `t`
+    // falls outside the last one.
+    if (idx == chunks.size() || chunks[idx].start != ChunkStartFor(sample.t)) {
+      const size_t before = chunks.size();
+      idx = ChunkIndexFor(chunks, sample.t);
+      touched_cold |= chunks.size() > before || idx + 1 < chunks.size();
+    }
+    Chunk& chunk = chunks[idx];
+    if (chunk.is_sealed()) {
+      status = Unseal(chunk);
+      if (!status.ok()) break;
+    }
+    InsertIntoChunk(chunk, sample.t, sample.value);
   }
-  SealColdChunks(chunks);
-  return Status::OK();
+  // Keep the invariant "only the newest chunk is hot", also after a partial
+  // run: every chunk the run unsealed or opened behind the newest is sealed
+  // once, here.
+  if (touched_cold) SealColdChunks(chunks);
+  return status;
 }
 
 Result<size_t> HypertableStore::Retain(SeriesId id, const Interval& keep) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -170,15 +171,19 @@ class HypertableStore {
   /// True if the id refers to a registered series.
   bool Exists(SeriesId id) const;
 
-  /// Inserts one sample. Out-of-order inserts are accepted (sorted insert
-  /// into the owning chunk, unsealing it first when necessary); a duplicate
-  /// timestamp replaces the old value.
-  Status Insert(SeriesId id, Timestamp t, double value);
+  /// Inserts one sample; InsertSamples with a run of one.
+  Status Insert(SeriesId id, Timestamp t, double value) {
+    const Sample sample{t, value};
+    return InsertSamples(id, {&sample, 1});
+  }
 
-  /// Bulk-load an entire in-memory series. Sealing is deferred to the end
-  /// of the load so an out-of-order batch does not reseal per sample; the
-  /// series' shard lock is held exclusively for the whole load.
-  Status InsertSeries(SeriesId id, const Series& series);
+  /// Inserts a run of samples into one series under one exclusive hold of
+  /// its shard lock, applied in order up to the first failure. Out-of-order
+  /// samples are accepted (sorted insert into the owning chunk, unsealing
+  /// it first when necessary); a duplicate timestamp replaces the old
+  /// value. Sealing is deferred to the end of the run, so k samples landing
+  /// in one sealed chunk unseal and reseal it once, not k times.
+  Status InsertSamples(SeriesId id, std::span<const Sample> samples);
 
   /// Deletes every sample of `id` outside `keep` — the paper's R3 staleness
   /// eviction. Whole chunks outside the interval are dropped O(1) per chunk
@@ -483,9 +488,6 @@ class HypertableStore {
   size_t ChunkIndexFor(std::vector<Chunk>& chunks, Timestamp t) const;
   /// Sorted insert of one sample into an (unsealed) chunk.
   static void InsertIntoChunk(Chunk& chunk, Timestamp t, double value);
-  /// Unseal-if-needed + sorted insert; performs no sealing. Requires the
-  /// shard lock held exclusively.
-  Status InsertRaw(std::vector<Chunk>& chunks, Timestamp t, double value);
 
   /// Encodes a hot chunk into a fresh immutable SealedChunk (aggregate +
   /// zone map + Gorilla bytes) and drops the hot buffer.

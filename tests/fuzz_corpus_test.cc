@@ -68,5 +68,13 @@ TEST(FuzzCorpusTest, SegmentLoad) {
   ReplayCorpus("segment_load", FuzzSegmentLoad);
 }
 
+TEST(FuzzCorpusTest, SampleRuns) {
+  ReplayCorpus("sample_runs", FuzzSampleRuns);
+}
+
+TEST(FuzzCorpusTest, SnapshotImage) {
+  ReplayCorpus("snapshot_image", FuzzSnapshotImage);
+}
+
 }  // namespace
 }  // namespace hygraph::fuzz

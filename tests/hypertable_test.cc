@@ -496,7 +496,7 @@ TEST(HypertableCompressionTest, BulkLoadSealsOncePerChunk) {
                             static_cast<double>(i % 40))
                     .ok());
   }
-  ASSERT_TRUE(store.InsertSeries(id, bulk).ok());
+  ASSERT_TRUE(store.InsertSamples(id, bulk.samples()).ok());
   // Deferred sealing: exactly one seal per cold chunk, zero unseals.
   EXPECT_EQ(store.stats().chunks_sealed, 9u);
   EXPECT_EQ(store.stats().chunks_unsealed, 0u);

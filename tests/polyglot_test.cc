@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hygraph::storage {
 namespace {
 
@@ -104,6 +107,65 @@ TEST(PolyglotTest, OutOfOrderIngestion) {
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(series->at(0).t, 100);
   EXPECT_EQ(series->at(1).t, 300);
+}
+
+uint64_t CounterOf(const PolyglotStore& store, const std::string& name) {
+  const auto snap = store.metrics()->Snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(PolyglotTest, OutOfOrderBatchUnsealsItsColdChunkOnce) {
+  ts::HypertableOptions ts_options;
+  ts_options.chunk_duration = kHour;
+  PolyglotStore store(ts_options);
+  const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
+  const query::EntityRef entity = query::EntityRef::Vertex(v);
+  // Two hours on a minute grid: the first hour's chunk is sealed.
+  std::vector<query::SampleWrite> load;
+  for (int i = 0; i < 120; ++i) {
+    load.push_back({entity, "x", i * kMinute, 1.0 * i});
+  }
+  ASSERT_TRUE(store.AppendSamples(load).ok());
+  const uint64_t unsealed = CounterOf(store, "hypertable.chunks_unsealed");
+  const uint64_t sealed = CounterOf(store, "hypertable.chunks_sealed");
+
+  // k late samples between the sealed chunk's samples, in one batch.
+  constexpr int kLate = 25;
+  std::vector<query::SampleWrite> late;
+  for (int i = kLate - 1; i >= 0; --i) {
+    late.push_back({entity, "x", i * 2 * kMinute + 30 * kSecond, -1.0 * i});
+  }
+  ASSERT_TRUE(store.AppendSamples(late).ok());
+  EXPECT_EQ(CounterOf(store, "hypertable.chunks_unsealed"), unsealed + 1);
+  EXPECT_EQ(CounterOf(store, "hypertable.chunks_sealed"), sealed + 1);
+
+  auto series = store.SeriesRange(entity, "x", Interval::All());
+  ASSERT_TRUE(series.ok());
+  ASSERT_EQ(series->size(), 120u + kLate);
+  for (size_t i = 1; i < series->size(); ++i) {
+    EXPECT_LT(series->at(i - 1).t, series->at(i).t);
+  }
+  EXPECT_EQ(series->at(1).t, 30 * kSecond);
+  EXPECT_EQ(series->at(1).value, 0.0);
+}
+
+TEST(PolyglotTest, BatchAppliesRunsInOrderUpToTheFirstFailure) {
+  PolyglotStore store;
+  const graph::VertexId v = store.mutable_topology()->AddVertex({}, {});
+  const query::EntityRef entity = query::EntityRef::Vertex(v);
+  const std::vector<query::SampleWrite> batch = {
+      {entity, "x", 1, 1.0},
+      {entity, "y", 1, 2.0},
+      {entity, "x", 2, 3.0},
+      {query::EntityRef::Vertex(v + 1), "x", 3, 4.0},
+      {entity, "x", 4, 5.0}};
+  EXPECT_EQ(store.AppendSamples(batch).code(), StatusCode::kNotFound);
+  auto x = store.SeriesRange(entity, "x", Interval::All());
+  auto y = store.SeriesRange(entity, "y", Interval::All());
+  ASSERT_TRUE(x.ok() && y.ok());
+  EXPECT_EQ(x->size(), 2u);
+  EXPECT_EQ(y->size(), 1u);
 }
 
 TEST(PolyglotTest, NameReflectsArchitecture) {

@@ -289,7 +289,7 @@ TEST_P(RecoveryTest, RestoreRequiresChecksumTrailer) {
             StatusCode::kCorruption);
 }
 
-// -- batched sample appends (one "AB" WAL record per AppendSamples call) ----
+// -- batched sample appends (one "CB" WAL record per AppendSamples call) ----
 
 std::vector<query::SampleWrite> Batch(
     std::initializer_list<query::SampleWrite> samples) {
@@ -504,6 +504,99 @@ TEST_P(RecoveryTest, PerSampleRecordsFromEarlierBuildsStillReplay) {
   EXPECT_EQ(load->samples()[0].value, 0.5);
 }
 
+TEST_P(RecoveryTest, TextDirectoryFromEarlierBuildsOpensIdentically) {
+  // Earlier builds installed BuildSnapshotText output ("HYGRAPH 1" text)
+  // as the snapshot and logged samples as text "AB"/"AV"/"AE" records.
+  auto reference = GetParam().make();
+  graph::PropertyGraph* topo = reference->mutable_topology();
+  topo->AddVertex({"Station"}, {{"city", Value("berlin")}});
+  topo->AddVertex({"Station"}, {{"city", Value("munich")}});
+  ASSERT_TRUE(topo->AddEdge(0, 1, "route", {{"km", Value(int64_t{584})}}).ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(reference
+                    ->AppendSample({query::EntityRef::Vertex(0), "temp",
+                                    100 + i, 20.0 + i})
+                    .ok());
+  }
+  ASSERT_TRUE(
+      reference->AppendSample({query::EntityRef::Edge(0), "load", 200, 0.5})
+          .ok());
+  auto snapshot = BuildSnapshotText(*reference);
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_EQ(snapshot->rfind("HYGRAPH 1\n", 0), 0u);
+  ASSERT_TRUE(env_->CreateDirIfMissing(dir_).ok());
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(dir_ + "/snapshot-3.hyg", &file).ok());
+    ASSERT_TRUE(file->Append(*snapshot).ok());
+    ASSERT_TRUE(file->Close().ok());
+    auto wal = WalWriter::Create(env_, dir_ + "/wal.log");
+    ASSERT_TRUE(wal.ok());
+    for (const char* record :
+         {"3 AV 0 temp 104 24",
+          "4 AB 2 V 0 temp 2 300 1.5 301 -0.25 E 0 load 1 300 0.75",
+          "5 AV 1 temp 400 7", "6 AE 0 load 301 1e-300"}) {
+      ASSERT_TRUE((*wal)->Append(record, /*sync=*/true).ok());
+    }
+  }
+  // What those records did, applied to the reference directly.
+  using query::EntityRef;
+  ASSERT_TRUE(reference
+                  ->AppendSamples(std::vector<query::SampleWrite>{
+                      {EntityRef::Vertex(0), "temp", 300, 1.5},
+                      {EntityRef::Vertex(0), "temp", 301, -0.25},
+                      {EntityRef::Edge(0), "load", 300, 0.75},
+                      {EntityRef::Vertex(1), "temp", 400, 7.0},
+                      {EntityRef::Edge(0), "load", 301, 1e-300}})
+                  .ok());
+  const std::string expected = Signature(*reference);
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    EXPECT_TRUE(store->recovery().snapshot_loaded);
+    EXPECT_EQ(store->recovery().wal_records_skipped, 1u);
+    EXPECT_EQ(store->recovery().wal_records_replayed, 3u);
+    EXPECT_EQ(store->recovery().wal_replay_failures, 0u);
+    EXPECT_EQ(Signature(*store->inner()), expected);
+    // The next checkpoint rewrites the directory in the current layout: a
+    // snapshot image where series live beside the graph, text where they
+    // are embedded in it.
+    ASSERT_TRUE(store->Checkpoint().ok());
+    std::string installed;
+    ASSERT_TRUE(
+        env_->ReadFileToString(dir_ + "/snapshot-6.hyg", &installed).ok());
+    EXPECT_EQ(installed.rfind("HYGRAPH SNAPSHOT 2\n", 0) == 0,
+              !store->SeriesEmbeddedInTopology());
+    EXPECT_EQ(installed.rfind("HYGRAPH 1\n", 0) == 0,
+              store->SeriesEmbeddedInTopology());
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_EQ(store->recovery().wal_records_replayed, 0u);
+  EXPECT_EQ(Signature(*store->inner()), expected);
+}
+
+TEST_P(RecoveryTest, CheckpointRecordsSnapshotBytes) {
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  Ingest(store.get());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren(dir_, &children).ok());
+  uint64_t size = 0;
+  for (const std::string& child : children) {
+    if (child.rfind("snapshot-", 0) != 0) continue;
+    auto bytes = env_->GetFileSize(dir_ + "/" + child);
+    ASSERT_TRUE(bytes.ok());
+    size = *bytes;
+  }
+  const auto snap = store->metrics()->Snapshot();
+  const auto it = snap.histograms.find("durable.snapshot_bytes");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count, 1u);
+  EXPECT_EQ(it->second.sum, size);
+}
+
 TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {
   auto store = MakeStore();
   EXPECT_EQ(store->AddVertex({}, {}).status().code(),
@@ -512,6 +605,57 @@ TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {
       store->AppendSample({query::EntityRef::Vertex(0), "k", 1, 1.0}).code(),
       StatusCode::kFailedPrecondition);
   EXPECT_EQ(store->Checkpoint().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(DurableSnapshotImageTest, BitFlipInHotTailFrameFailsOpen) {
+  char tmpl[] = "/tmp/hygraph_snapshot_image_test_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  const std::string dir = root + "/store";
+  Env* env = Env::Default();
+  const auto make = [&] {
+    return std::make_unique<DurableStore>(env, dir,
+                                          std::make_unique<PolyglotStore>());
+  };
+  {
+    auto store = make();
+    ASSERT_TRUE(store->Open().ok());
+    ASSERT_TRUE(store->AddVertex({"Station"}, {}).ok());
+    std::vector<query::SampleWrite> batch;
+    for (int i = 0; i < 24; ++i) {
+      batch.push_back({query::EntityRef::Vertex(0), "bikes", 300'000 * i,
+                       static_cast<double>(i % 7) + 0.5});
+    }
+    ASSERT_TRUE(store->AppendSamples(batch).ok());
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->GetChildren(dir, &children).ok());
+  std::string path;
+  for (const std::string& child : children) {
+    if (child.rfind("snapshot-", 0) == 0) path = dir + "/" + child;
+  }
+  ASSERT_FALSE(path.empty());
+  std::string bytes;
+  ASSERT_TRUE(env->ReadFileToString(path, &bytes).ok());
+  ASSERT_EQ(bytes.rfind("HYGRAPH SNAPSHOT 2\n", 0), 0u);
+  // The run's key, then its frame-length varint, then the frame; flip a
+  // bit in the middle of the value column.
+  const size_t key = bytes.find("bikes");
+  ASSERT_NE(key, std::string::npos);
+  const size_t frame_len = static_cast<uint8_t>(bytes[key + 5]);
+  ASSERT_LT(frame_len, 0x80u);
+  ASSERT_LE(key + 6 + frame_len + 4, bytes.size());
+  bytes[key + 6 + frame_len / 2] ^= 0x08;
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env->NewWritableFile(path, &file).ok());
+    ASSERT_TRUE(file->Append(bytes).ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  auto store = make();
+  EXPECT_EQ(store->Open().code(), StatusCode::kCorruption);
+  std::system(("rm -rf " + root).c_str());
 }
 
 // Runs `read` against the durable store and against the store it wraps and

@@ -407,11 +407,54 @@ TEST_F(ServerTest, CleanShutdownCompletesInflightRequest) {
     got_response.store(result.ok());
   });
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Stop() must land while the spin executes: wait on the in-flight gauge,
+  // not on a sleep.
+  const obs::Clock* clock = obs::SystemClock::Instance();
+  const uint64_t deadline = clock->NowNanos() + 5'000'000'000ull;
+  while (Gauge(server->MergedMetrics(), "server.requests_inflight") != 1.0 &&
+         clock->NowNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Gauge(server->MergedMetrics(), "server.requests_inflight"), 1.0);
   server->Stop();
   inflight.join();
   EXPECT_TRUE(got_response.load());
   EXPECT_EQ(server->connections_active(), 0u);
+}
+
+TEST_F(ServerTest, MetricsEndpointExportsSnapshotBytes) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(store_->Checkpoint().ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(storage::Env::Default()->GetChildren(dir_, &children).ok());
+  uint64_t snapshot_size = 0;
+  for (const std::string& child : children) {
+    if (child.rfind("snapshot-", 0) != 0) continue;
+    auto size = storage::Env::Default()->GetFileSize(dir_ + "/" + child);
+    ASSERT_TRUE(size.ok());
+    snapshot_size = *size;
+  }
+  ASSERT_GT(snapshot_size, 0u);
+
+  auto sock = net::Socket::Connect("127.0.0.1", server->metrics_port());
+  ASSERT_TRUE(sock.ok());
+  const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(sock->WriteAll(get.data(), get.size()).ok());
+  std::string body;
+  char buf[4096];
+  for (;;) {
+    auto got = sock->ReadSome(buf, sizeof(buf));
+    if (!got.ok() || *got == 0) break;
+    body.append(buf, *got);
+  }
+  // One checkpoint installed one snapshot of exactly that many bytes.
+  EXPECT_NE(body.find("hygraph_durable_snapshot_bytes_count 1\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("hygraph_durable_snapshot_bytes_sum " +
+                      std::to_string(snapshot_size) + "\n"),
+            std::string::npos)
+      << body;
 }
 
 TEST_F(ServerTest, MetricsEndpointServesPrometheusText) {
