@@ -11,10 +11,13 @@
 //     keeps one segment file per epoch), not a timing one, so it also
 //     holds under --smoke
 //   * durable bytes per sample on a regular 5-minute grid (16 stations x
-//     4 days, one batch per station): WAL bytes per logged sample and
-//     installed-snapshot bytes per hot sample. Exits 1 when either exceeds
-//     4 B — a byte-count gate (sample runs travel as chunk-codec frames in
-//     the WAL and in the snapshot, ~2 B/sample), so it also holds under
+//     4 days, one batch per station): WAL bytes per logged sample,
+//     installed-snapshot bytes per hot sample and cold-catalog bytes per
+//     catalog entry. Exits 1 when either of the first two exceeds 4 B
+//     (sample runs travel as chunk-codec frames in the WAL and in the
+//     snapshot, ~2 B/sample) or the catalog exceeds 96 B per entry (the
+//     binary catalog elides derived fields, ~65 B per 288-sample entry
+//     against ~250 B as text) — byte-count gates, so they also hold under
 //     --smoke
 //
 // Results go to stdout and to BENCH_tiering.json in the working directory.
@@ -237,14 +240,16 @@ bool BenchManySeriesCheckpoint() {
   return true;
 }
 
-/// Returns false when the WAL logs more than 4 B per sample or the
-/// installed snapshot holds more than 4 B per hot sample.
+/// Returns false when the WAL logs more than 4 B per sample, the
+/// installed snapshot holds more than 4 B per hot sample, or the cold
+/// catalog takes more than 96 B per entry.
 bool BenchDurableBytesPerSample() {
   PrintHeader("Durable bytes per sample (16 stations x 4 days, 5-min grid)");
   constexpr int kStations = 16;
   constexpr int kSamplesPerStation = 4 * 288;  // the fourth day stays hot
   constexpr Timestamp kStep = 300'000;
   constexpr double kMaxBytesPerSample = 4.0;
+  constexpr double kMaxCatalogBytesPerEntry = 96.0;
   const std::string dir = FreshDir();
   auto store = std::make_unique<DurableStore>(
       Env::Default(), dir + "/store",
@@ -285,6 +290,28 @@ bool BenchDurableBytesPerSample() {
     if (!size.ok()) std::exit(1);
     snapshot_bytes += double(*size);
   }
+  // The three spilled days of every station: one catalog entry each.
+  double catalog_bytes = 0;
+  double catalog_entries = 0;
+  children.clear();
+  if (!Env::Default()->GetChildren(dir + "/store/cold", &children).ok()) {
+    std::exit(1);
+  }
+  for (const std::string& child : children) {
+    if (child.rfind("catalog-", 0) != 0) continue;
+    std::string bytes;
+    if (!Env::Default()
+             ->ReadFileToString(dir + "/store/cold/" + child, &bytes)
+             .ok()) {
+      std::exit(1);
+    }
+    auto entries = storage::ParseColdCatalog(bytes);
+    if (!entries.ok()) std::exit(1);
+    catalog_bytes += double(bytes.size());
+    catalog_entries += double(entries->size());
+  }
+  const double catalog_per_entry =
+      catalog_entries == 0 ? 0.0 : catalog_bytes / catalog_entries;
   const ts::HypertableMemory mem =
       store->inner()->series_hypertable()->MemoryUsage();
   const double hot = double(mem.hot_samples + mem.sealed_samples);
@@ -293,6 +320,9 @@ bool BenchDurableBytesPerSample() {
   Report("durable_snapshot_bytes", snapshot_bytes, "B");
   Report("durable_snapshot_hot_samples", hot, "samples");
   Report("durable_snapshot_bytes_per_hot_sample", snapshot_per_sample, "B");
+  Report("durable_catalog_bytes", catalog_bytes, "B");
+  Report("durable_catalog_entries", catalog_entries, "entries");
+  Report("durable_catalog_bytes_per_entry", catalog_per_entry, "B");
   store.reset();
   std::system(("rm -rf " + dir).c_str());
   bool ok = true;
@@ -309,6 +339,14 @@ bool BenchDurableBytesPerSample() {
                  "samples); hot tails must travel as chunk-codec frames "
                  "(<= %.0f B/sample)\n",
                  snapshot_per_sample, hot, kMaxBytesPerSample);
+    ok = false;
+  }
+  if (catalog_entries == 0 || catalog_per_entry > kMaxCatalogBytesPerEntry) {
+    std::fprintf(stderr,
+                 "the cold catalog takes %.2f B per entry (%.0f entries); "
+                 "catalog entries must be binary with derived fields elided "
+                 "(<= %.0f B/entry)\n",
+                 catalog_per_entry, catalog_entries, kMaxCatalogBytesPerEntry);
     ok = false;
   }
   return ok;

@@ -38,7 +38,8 @@ void FuzzChunkCodec(const uint8_t* data, size_t size);
 /// protocol, plus a decode/encode fixed-point check on accepted frames.
 void FuzzWireFrame(const uint8_t* data, size_t size);
 
-/// storage::ParseColdCatalog over untrusted catalog bytes, then
+/// storage::ParseColdCatalog over untrusted catalog bytes (v2 binary and
+/// v1 text), a bit-exact encode/parse fixed point on accepted ones, then
 /// SegmentStore::LoadCatalog + Pin + ts::DecodeChunk with the same bytes
 /// planted as segment files — the full cold-chunk adoption frontier.
 void FuzzSegmentLoad(const uint8_t* data, size_t size);

@@ -1,5 +1,8 @@
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fuzz/harness.h"
@@ -8,14 +11,43 @@
 #include "ts/chunk_codec.h"
 
 namespace hygraph::fuzz {
+namespace {
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Every field equal, doubles compared by bit pattern.
+bool SameEntry(const storage::ColdCatalogEntry& a,
+               const storage::ColdCatalogEntry& b) {
+  const ts::ColdChunkMeta& x = a.meta;
+  const ts::ColdChunkMeta& y = b.meta;
+  return a.series == b.series && a.chunk_start == b.chunk_start &&
+         a.file == b.file && a.offset == b.offset && a.length == b.length &&
+         x.count == y.count && x.min_t == y.min_t && x.max_t == y.max_t &&
+         SameBits(x.min_v, y.min_v) && SameBits(x.max_v, y.max_v) &&
+         x.all_finite == y.all_finite && x.encoded_size == y.encoded_size &&
+         x.agg.count == y.agg.count && SameBits(x.agg.sum, y.agg.sum) &&
+         SameBits(x.agg.sum_sq, y.agg.sum_sq) &&
+         SameBits(x.agg.min, y.agg.min) && SameBits(x.agg.max, y.agg.max) &&
+         x.agg.first.t == y.agg.first.t &&
+         SameBits(x.agg.first.value, y.agg.first.value) &&
+         x.agg.last.t == y.agg.last.t &&
+         SameBits(x.agg.last.value, y.agg.last.value);
+}
+
+}  // namespace
 
 /// Feeds arbitrary bytes to the cold-tier load path, the frontier a
 /// recovering process crosses when it adopts spilled chunks from disk.
 ///
 /// Three layers, each total over hostile input:
-///   1. ParseColdCatalog — accept or kCorruption, never a crash or an
-///      unbounded allocation, and accepted catalogs reach an
-///      encode/parse fixed point bit-exactly (doubles travel as u64 hex).
+///   1. ParseColdCatalog, over both layouts (v2 binary, v1 text) — accept
+///      or kCorruption, never a crash or an unbounded allocation. An
+///      accepted catalog re-encodes (always as v2) to bytes that parse
+///      back to the same entries bit for bit, in the encoder's canonical
+///      order (series by name, then chunk_start), and re-encode to
+///      themselves.
 ///   2. SegmentStore::LoadCatalog — the same bytes behind a MemEnv file;
 ///      registration must mirror the standalone parse verdict.
 ///   3. Pin + DecodeChunk over segment files that hold the SAME hostile
@@ -27,12 +59,25 @@ void FuzzSegmentLoad(const uint8_t* data, size_t size) {
   // Layer 1: the standalone catalog codec.
   auto parsed = storage::ParseColdCatalog(bytes);
   if (parsed.ok()) {
-    // One catalog line per entry at minimum — a hostile header can never
-    // fabricate more entries than the input could have spelled out.
+    // Every entry spends input bytes (a v1 line, or at least 16 v2 bytes),
+    // so a hostile header can never fabricate more entries than the input
+    // could have spelled out.
     HYGRAPH_FUZZ_CHECK(parsed->size() <= size);
     const std::string encoded = storage::EncodeColdCatalog(*parsed);
     auto reparsed = storage::ParseColdCatalog(encoded);
     HYGRAPH_FUZZ_CHECK(reparsed.ok());
+    std::vector<storage::ColdCatalogEntry> canonical = *parsed;
+    std::stable_sort(
+        canonical.begin(), canonical.end(),
+        [](const storage::ColdCatalogEntry& a,
+           const storage::ColdCatalogEntry& b) {
+          return std::tie(a.series, a.chunk_start) <
+                 std::tie(b.series, b.chunk_start);
+        });
+    HYGRAPH_FUZZ_CHECK(reparsed->size() == canonical.size());
+    for (size_t i = 0; i < canonical.size(); ++i) {
+      HYGRAPH_FUZZ_CHECK(SameEntry((*reparsed)[i], canonical[i]));
+    }
     HYGRAPH_FUZZ_CHECK(storage::EncodeColdCatalog(*reparsed) == encoded);
   } else {
     HYGRAPH_FUZZ_CHECK(parsed.status().code() == StatusCode::kCorruption);

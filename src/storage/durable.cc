@@ -489,6 +489,7 @@ DurableStore::DurableStore(Env* env, std::string dir,
       checkpoints_(metrics_->counter("durable.checkpoints")),
       checkpoint_nanos_(metrics_->histogram("durable.checkpoint_nanos")),
       snapshot_bytes_(metrics_->histogram("durable.snapshot_bytes")),
+      catalog_bytes_(metrics_->histogram("durable.catalog_bytes")),
       retries_(metrics_->counter("durable.retries")),
       wal_rebuilds_(metrics_->counter("durable.wal_rebuilds")),
       degraded_gauge_(metrics_->gauge("durable.degraded")),
@@ -570,17 +571,27 @@ Status DurableStore::Open() {
     if (have_snapshot) {
       auto catalog = cold_tier_->LoadCatalog(snap_seq);
       if (!catalog.ok()) return catalog.status();
+      // A catalog lists each series' entries together, so the slot name is
+      // parsed and the series ensured once per group, not once per entry
+      // (the ungrouped v1 text catalogs of earlier builds just start more
+      // groups).
+      const std::string* group = nullptr;
+      SeriesId sid = kInvalidSeriesId;
       for (const ColdCatalogEntry& entry : *catalog) {
-        query::EntityRef entity;
-        std::string key;
-        if (!query::ParseSeriesSlotName(entry.series, &entity, &key)) {
-          return Status::Corruption("cold catalog series '" + entry.series +
-                                    "' is not an entity slot name");
+        if (group == nullptr || *group != entry.series) {
+          query::EntityRef entity;
+          std::string key;
+          if (!query::ParseSeriesSlotName(entry.series, &entity, &key)) {
+            return Status::Corruption("cold catalog series '" + entry.series +
+                                      "' is not an entity slot name");
+          }
+          auto ensured = inner_->EnsureSeries(entity, key);
+          if (!ensured.ok()) return ensured.status();
+          sid = *ensured;
+          group = &entry.series;
         }
-        auto sid = inner_->EnsureSeries(entity, key);
-        if (!sid.ok()) return sid.status();
         HYGRAPH_RETURN_IF_ERROR(tiered_ht->AdoptColdChunk(
-            *sid, entry.chunk_start, entry.id, entry.meta));
+            sid, entry.chunk_start, entry.id, entry.meta));
         ++recovery_.cold_chunks_adopted;
       }
     }
@@ -1038,8 +1049,16 @@ Status DurableStore::CheckpointImpl() {
     // catalog that recovery never reads and the next checkpoint GCs.
     // Retried as one unit — each attempt rewrites the temp file from
     // scratch before the atomic rename.
+    uint64_t catalog_size = 0;
     HYGRAPH_RETURN_IF_ERROR(retry_policy_.Run(
-        [&] { return cold_tier_->WriteCatalog(snap_seq); }, retries_));
+        [&] {
+          auto written = cold_tier_->WriteCatalog(snap_seq);
+          if (!written.ok()) return written.status();
+          catalog_size = *written;
+          return Status::OK();
+        },
+        retries_));
+    catalog_bytes_->Record(catalog_size);
     end_stage(stage_nanos_.catalog);
   }
 

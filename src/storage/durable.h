@@ -306,6 +306,8 @@ class DurableStore final : public query::QueryBackend {
   obs::Histogram* checkpoint_nanos_ = nullptr;
   /// Size of each installed snapshot file, recorded at install.
   obs::Histogram* snapshot_bytes_ = nullptr;
+  /// Size of each cold catalog a tiered checkpoint writes.
+  obs::Histogram* catalog_bytes_ = nullptr;
   obs::Counter* retries_ = nullptr;
   obs::Counter* wal_rebuilds_ = nullptr;
   obs::Gauge* degraded_gauge_ = nullptr;

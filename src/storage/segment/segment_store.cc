@@ -1,8 +1,9 @@
 #include "storage/segment/segment_store.h"
 
+#include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 
 #include "common/crc32.h"
 #include "core/serialize.h"
+#include "storage/byte_io.h"
 #include "storage/wal.h"
 
 namespace hygraph::storage {
@@ -18,42 +20,275 @@ namespace hygraph::storage {
 namespace {
 
 constexpr size_t kFrameHeaderSize = 8;  // [u32 len][u32 crc]
-constexpr char kCatalogMagic[] = "hygraph-coldcat v1";
-/// Hard ceiling on catalog entries: far above any real store (it would
-/// mean > kMaxCatalogEntries spilled chunks), low enough that a hostile
-/// count field cannot drive a giant reserve().
-constexpr uint64_t kMaxCatalogEntries = 1u << 22;
+
+// -- v2: the binary catalog, the only layout the writer emits ------------
+
+constexpr std::string_view kCatalogMagic = "HYGRAPH COLDCAT 2\n";
+
+/// Flag bits of a v2 entry. Bit 0 carries all_finite; each other bit says
+/// a field is bitwise equal to the one it derives from and is not stored.
+enum : uint8_t {
+  kAllFinite = 1u << 0,
+  kAggCountIsCount = 1u << 1,  // agg.count == count
+  kAggMinIsMinV = 1u << 2,     // agg.min == min_v
+  kAggMaxIsMaxV = 1u << 3,     // agg.max == max_v
+  kEndsAreBounds = 1u << 4,    // agg.first.t == min_t, agg.last.t == max_t
+  kMaxVIsMinV = 1u << 5,       // max_v == min_v
+  kOneSample = 1u << 6,        // sum == first.value == last.value == min_v,
+                               // sum_sq == min_v * min_v
+  kKnownFlags = 0x7f,
+};
+
+// Smallest encodings, which bound every count against the bytes left: a
+// file name is a length and one byte; an entry is seven one-byte varints,
+// the flags and min_v; a series group is a length, one name byte, an entry
+// count and one entry.
+constexpr uint64_t kMinFileBytes = 2;
+constexpr uint64_t kMinEntryBytes = 7 + 1 + 8;
+constexpr uint64_t kMinGroupBytes = 3 + kMinEntryBytes;
 
 uint64_t DoubleBits(double v) { return std::bit_cast<uint64_t>(v); }
 double BitsDouble(uint64_t bits) { return std::bit_cast<double>(bits); }
 
-/// Appends `v` as exactly `digits` lowercase hex digits, zero-padded (the
-/// "%016" PRIx64 / "%08x" forms without a format-string round trip).
-void AppendHex(std::string* out, uint64_t v, int digits) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  char buf[16];
-  for (int i = digits - 1; i >= 0; --i) {
-    buf[i] = kDigits[v & 0xfu];
-    v >>= 4;
+/// The one-sample form: what sealing a single finite-or-infinite sample
+/// leaves behind. A NaN min_v never qualifies — the bits of NaN * NaN are
+/// the platform's choice, so the decoder could not rebuild sum_sq exactly.
+bool IsOneSampleForm(const ts::ColdChunkMeta& m) {
+  const uint64_t min_bits = DoubleBits(m.min_v);
+  return !std::isnan(m.min_v) && DoubleBits(m.agg.sum) == min_bits &&
+         DoubleBits(m.agg.sum_sq) == DoubleBits(m.min_v * m.min_v) &&
+         DoubleBits(m.agg.first.value) == min_bits &&
+         DoubleBits(m.agg.last.value) == min_bits;
+}
+
+/// The fields each entry is a delta against: the previous entry of the
+/// same series group, zero at the start of a group.
+struct EntryBase {
+  uint64_t chunk_start = 0;
+  uint64_t offset = 0;
+  uint64_t length = 0;
+  uint64_t count = 0;
+};
+
+// Ten varints, the flags byte and seven doubles at most.
+constexpr size_t kMaxEntryBytes = 10 * kMaxVarintBytes + 1 + 7 * 8;
+
+void AppendEntry(std::string* out, const ColdCatalogEntry& e,
+                 uint64_t file_index, EntryBase* base) {
+  const ts::ColdChunkMeta& m = e.meta;
+  const uint64_t chunk_start = static_cast<uint64_t>(e.chunk_start);
+  const uint64_t min_t = static_cast<uint64_t>(m.min_t);
+  const uint64_t max_t = static_cast<uint64_t>(m.max_t);
+  const uint64_t min_bits = DoubleBits(m.min_v);
+  const uint64_t max_bits = DoubleBits(m.max_v);
+  uint8_t flags = m.all_finite ? kAllFinite : 0;
+  if (m.agg.count == m.count) flags |= kAggCountIsCount;
+  if (DoubleBits(m.agg.min) == min_bits) flags |= kAggMinIsMinV;
+  if (DoubleBits(m.agg.max) == max_bits) flags |= kAggMaxIsMaxV;
+  if (m.agg.first.t == m.min_t && m.agg.last.t == m.max_t) {
+    flags |= kEndsAreBounds;
   }
-  out->append(buf, static_cast<size_t>(digits));
+  if (max_bits == min_bits) flags |= kMaxVIsMinV;
+  if (IsOneSampleForm(m)) flags |= kOneSample;
+
+  char buf[kMaxEntryBytes];
+  char* p = buf;
+  p = EncodeVarint(p, file_index);
+  p = EncodeVarint(p, ZigZag(chunk_start - base->chunk_start));
+  p = EncodeVarint(p, ZigZag(e.offset - base->offset));
+  p = EncodeVarint(p, ZigZag(e.length - base->length));
+  p = EncodeVarint(p, ZigZag(m.count - base->count));
+  p = EncodeVarint(p, ZigZag(min_t - chunk_start));
+  p = EncodeVarint(p, ZigZag(max_t - min_t));
+  *p++ = static_cast<char>(flags);
+  p = EncodeFixed64(p, min_bits);
+  if (!(flags & kMaxVIsMinV)) p = EncodeFixed64(p, max_bits);
+  if (!(flags & kAggCountIsCount)) p = EncodeVarint(p, m.agg.count);
+  if (!(flags & kAggMinIsMinV)) p = EncodeFixed64(p, DoubleBits(m.agg.min));
+  if (!(flags & kAggMaxIsMaxV)) p = EncodeFixed64(p, DoubleBits(m.agg.max));
+  if (!(flags & kEndsAreBounds)) {
+    p = EncodeVarint(p,
+                     ZigZag(static_cast<uint64_t>(m.agg.first.t) - min_t));
+    p = EncodeVarint(p, ZigZag(static_cast<uint64_t>(m.agg.last.t) - max_t));
+  }
+  if (!(flags & kOneSample)) {
+    p = EncodeFixed64(p, DoubleBits(m.agg.sum));
+    p = EncodeFixed64(p, DoubleBits(m.agg.sum_sq));
+    p = EncodeFixed64(p, DoubleBits(m.agg.first.value));
+    p = EncodeFixed64(p, DoubleBits(m.agg.last.value));
+  }
+  out->append(buf, p);
+  *base = {chunk_start, e.offset, e.length, m.count};
 }
 
-/// Catalog field writers: a separating space, then the value — an
-/// integer in decimal, or a double as its 16-hex-digit bit pattern.
-template <typename Int>
-void AppendIntField(std::string* out, Int v) {
-  char buf[24];
-  buf[0] = ' ';
-  const auto [end, ec] = std::to_chars(buf + 1, buf + sizeof(buf), v);
-  (void)ec;  // 23 chars hold any 64-bit integer
-  out->append(buf, end);
+Status ReadDouble(ByteReader* in, const char* what, double* out) {
+  uint64_t bits = 0;
+  HYGRAPH_RETURN_IF_ERROR(in->Fixed64(what, &bits));
+  *out = BitsDouble(bits);
+  return Status::OK();
 }
 
-void AppendBitsField(std::string* out, double v) {
-  out->push_back(' ');
-  AppendHex(out, DoubleBits(v), 16);
+Status ReadDelta(ByteReader* in, const char* what, uint64_t base,
+                 uint64_t* out) {
+  uint64_t z = 0;
+  HYGRAPH_RETURN_IF_ERROR(in->Varint(what, &z));
+  *out = base + UnZigZag(z);
+  return Status::OK();
 }
+
+Status ReadEntry(ByteReader* in, const std::vector<std::string>& files,
+                 EntryBase* base, ColdCatalogEntry* e) {
+  ts::ColdChunkMeta& m = e->meta;
+  uint64_t file_index = 0;
+  uint64_t chunk_start = 0;
+  uint64_t length = 0;
+  uint64_t count = 0;
+  uint64_t min_t = 0;
+  uint64_t max_t = 0;
+  HYGRAPH_RETURN_IF_ERROR(in->Varint("file index", &file_index));
+  if (file_index >= files.size()) {
+    return in->Corruption("file index " + std::to_string(file_index) +
+                          " outside the " + std::to_string(files.size()) +
+                          "-name file table");
+  }
+  HYGRAPH_RETURN_IF_ERROR(
+      ReadDelta(in, "chunk start", base->chunk_start, &chunk_start));
+  HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "offset", base->offset, &e->offset));
+  HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "length", base->length, &length));
+  HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "count", base->count, &count));
+  HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "min_t", chunk_start, &min_t));
+  HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "max_t", min_t, &max_t));
+  if (e->offset < kFrameHeaderSize) {
+    return in->Corruption("offset inside frame header");
+  }
+  if (length > kWalMaxRecordSize) {
+    return in->Corruption("length " + std::to_string(length) +
+                          " exceeds a WAL frame");
+  }
+  uint8_t flags = 0;
+  HYGRAPH_RETURN_IF_ERROR(in->Byte("flags", &flags));
+  if (flags & ~kKnownFlags) {
+    return in->Corruption("unknown flag bits " + std::to_string(flags));
+  }
+  e->file = files[file_index];
+  e->chunk_start = static_cast<Timestamp>(chunk_start);
+  e->length = static_cast<uint32_t>(length);
+  m.count = count;
+  m.min_t = static_cast<Timestamp>(min_t);
+  m.max_t = static_cast<Timestamp>(max_t);
+  m.all_finite = (flags & kAllFinite) != 0;
+  m.encoded_size = e->length;
+  HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "min_v", &m.min_v));
+  m.max_v = m.min_v;
+  if (!(flags & kMaxVIsMinV)) {
+    HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "max_v", &m.max_v));
+  }
+  uint64_t agg_count = count;
+  if (!(flags & kAggCountIsCount)) {
+    HYGRAPH_RETURN_IF_ERROR(in->Varint("agg count", &agg_count));
+  }
+  m.agg.count = agg_count;
+  m.agg.min = m.min_v;
+  if (!(flags & kAggMinIsMinV)) {
+    HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "agg min", &m.agg.min));
+  }
+  m.agg.max = m.max_v;
+  if (!(flags & kAggMaxIsMaxV)) {
+    HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "agg max", &m.agg.max));
+  }
+  uint64_t first_t = min_t;
+  uint64_t last_t = max_t;
+  if (!(flags & kEndsAreBounds)) {
+    HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "first.t", min_t, &first_t));
+    HYGRAPH_RETURN_IF_ERROR(ReadDelta(in, "last.t", max_t, &last_t));
+  }
+  m.agg.first.t = static_cast<Timestamp>(first_t);
+  m.agg.last.t = static_cast<Timestamp>(last_t);
+  if (flags & kOneSample) {
+    if (std::isnan(m.min_v)) {
+      return in->Corruption("one-sample form with a NaN min_v");
+    }
+    m.agg.sum = m.min_v;
+    m.agg.sum_sq = m.min_v * m.min_v;
+    m.agg.first.value = m.min_v;
+    m.agg.last.value = m.min_v;
+  } else {
+    HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "agg sum", &m.agg.sum));
+    HYGRAPH_RETURN_IF_ERROR(ReadDouble(in, "agg sum_sq", &m.agg.sum_sq));
+    HYGRAPH_RETURN_IF_ERROR(
+        ReadDouble(in, "agg first.value", &m.agg.first.value));
+    HYGRAPH_RETURN_IF_ERROR(
+        ReadDouble(in, "agg last.value", &m.agg.last.value));
+  }
+  *base = {chunk_start, e->offset, length, count};
+  return Status::OK();
+}
+
+Result<std::vector<ColdCatalogEntry>> ParseBinaryCatalog(
+    std::string_view bytes) {
+  if (bytes.size() < kCatalogMagic.size() + 4) {
+    return Status::Corruption("cold catalog: truncated before its CRC");
+  }
+  auto body = CheckCrc32Trailer(bytes, "cold catalog");
+  if (!body.ok()) return body.status();
+  ByteReader in("cold catalog", body->substr(kCatalogMagic.size()));
+
+  uint64_t file_count = 0;
+  HYGRAPH_RETURN_IF_ERROR(in.Varint("file count", &file_count));
+  if (file_count > in.remaining() / kMinFileBytes) {
+    return in.Corruption("implausible file count " +
+                         std::to_string(file_count));
+  }
+  std::vector<std::string> files;
+  files.reserve(file_count);
+  for (uint64_t i = 0; i < file_count; ++i) {
+    std::string_view name;
+    HYGRAPH_RETURN_IF_ERROR(in.Bytes("file name", &name));
+    if (name.empty() || name.find('/') != std::string_view::npos) {
+      return in.Corruption("bad file name " + std::to_string(i));
+    }
+    files.emplace_back(name);
+  }
+
+  uint64_t series_count = 0;
+  HYGRAPH_RETURN_IF_ERROR(in.Varint("series count", &series_count));
+  if (series_count > in.remaining() / kMinGroupBytes) {
+    return in.Corruption("implausible series count " +
+                         std::to_string(series_count));
+  }
+  std::vector<ColdCatalogEntry> entries;
+  for (uint64_t g = 0; g < series_count; ++g) {
+    std::string_view series;
+    HYGRAPH_RETURN_IF_ERROR(in.Bytes("series name", &series));
+    if (series.empty()) return in.Corruption("empty series name");
+    uint64_t count = 0;
+    HYGRAPH_RETURN_IF_ERROR(in.Varint("entry count", &count));
+    if (count == 0 || count > in.remaining() / kMinEntryBytes) {
+      return in.Corruption("implausible entry count " + std::to_string(count) +
+                           " for series " + std::to_string(g));
+    }
+    EntryBase base;
+    for (uint64_t i = 0; i < count; ++i) {
+      ColdCatalogEntry e;
+      e.series.assign(series);
+      HYGRAPH_RETURN_IF_ERROR(ReadEntry(&in, files, &base, &e));
+      entries.push_back(std::move(e));
+    }
+  }
+  if (in.remaining() != 0) {
+    return in.Corruption(std::to_string(in.remaining()) +
+                         " trailing bytes before the CRC");
+  }
+  return entries;
+}
+
+// -- v1: the text catalog of earlier builds, read-only --------------------
+
+constexpr char kTextCatalogMagic[] = "hygraph-coldcat v1";
+/// Hard ceiling on v1 catalog entries: far above any real store (it would
+/// mean > kMaxTextCatalogEntries spilled chunks), low enough that a hostile
+/// count field cannot drive a giant reserve().
+constexpr uint64_t kMaxTextCatalogEntries = 1u << 22;
 
 /// strtoull/strtoll wrappers that insist the whole token parses — partial
 /// parses (e.g. "12x") are how corrupt fields sneak through.
@@ -85,56 +320,10 @@ bool ParseDoubleBits(const std::string& tok, double* out) {
   return true;
 }
 
-}  // namespace
-
-std::string EncodeColdCatalog(const std::vector<ColdCatalogEntry>& entries) {
-  // One buffer for the whole catalog: a line's fixed fields take at most
-  // 320 bytes (eight 20-digit integers, eight 16-digit hex words, spaces),
-  // and percent-encoding at most triples a name.
-  size_t reserve = 64;
-  for (const ColdCatalogEntry& e : entries) {
-    reserve += 320 + 3 * (e.series.size() + e.file.size());
-  }
-  std::string out;
-  out.reserve(reserve);
-  out += kCatalogMagic;
-  out += "\nchunks";
-  AppendIntField(&out, entries.size());
-  out += '\n';
-  for (const ColdCatalogEntry& e : entries) {
-    const ts::ColdChunkMeta& m = e.meta;
-    out += "chunk ";
-    core::AppendEncodedField(&out, e.series);
-    AppendIntField(&out, e.chunk_start);
-    out += ' ';
-    core::AppendEncodedField(&out, e.file);
-    AppendIntField(&out, e.offset);
-    AppendIntField(&out, e.length);
-    AppendIntField(&out, m.count);
-    AppendIntField(&out, m.min_t);
-    AppendIntField(&out, m.max_t);
-    AppendBitsField(&out, m.min_v);
-    AppendBitsField(&out, m.max_v);
-    out += m.all_finite ? " 1" : " 0";
-    AppendIntField(&out, m.agg.count);
-    AppendBitsField(&out, m.agg.sum);
-    AppendBitsField(&out, m.agg.sum_sq);
-    AppendBitsField(&out, m.agg.min);
-    AppendBitsField(&out, m.agg.max);
-    AppendIntField(&out, m.agg.first.t);
-    AppendBitsField(&out, m.agg.first.value);
-    AppendIntField(&out, m.agg.last.t);
-    AppendBitsField(&out, m.agg.last.value);
-    out += '\n';
-  }
-  const uint32_t crc = Crc32(out);  // covers everything above the trailer
-  out += "crc ";
-  AppendHex(&out, crc, 8);
-  out += '\n';
-  return out;
-}
-
-Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view text) {
+/// "hygraph-coldcat v1\nchunks <n>\n", one "chunk" line per entry with
+/// %-encoded names, decimal integers and doubles as 16 hex digits, then
+/// "crc <8 hex>\n" over everything above it.
+Result<std::vector<ColdCatalogEntry>> ParseTextCatalog(std::string_view text) {
   // Split off the CRC trailer first: the last non-empty line must be
   // "crc <8 hex>", and the CRC covers everything before that line.
   const size_t trailer_pos = text.rfind("crc ");
@@ -162,7 +351,7 @@ Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view text) {
 
   std::istringstream in{std::string(body)};
   std::string line;
-  if (!std::getline(in, line) || line != kCatalogMagic) {
+  if (!std::getline(in, line) || line != kTextCatalogMagic) {
     return Status::Corruption("cold catalog: bad magic");
   }
   if (!std::getline(in, line)) {
@@ -177,7 +366,7 @@ Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view text) {
       return Status::Corruption("cold catalog: malformed chunk count");
     }
   }
-  if (count > kMaxCatalogEntries) {
+  if (count > kMaxTextCatalogEntries) {
     return Status::Corruption("cold catalog: implausible chunk count " +
                               std::to_string(count));
   }
@@ -254,6 +443,101 @@ Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view text) {
     return Status::Corruption("cold catalog: trailing data");
   }
   return entries;
+}
+
+}  // namespace
+
+std::string EncodeColdCatalog(const std::vector<ColdCatalogEntry>& entries) {
+  // Canonical order: series by name, then chunk_start, then input
+  // position — so full ties keep their input order and parse+encode is a
+  // fixed point. Entries are bucketed by series through a hash map and
+  // only the distinct names are sorted as strings, which is several times
+  // cheaper than a comparison sort over every entry's name.
+  std::unordered_map<std::string_view, size_t> group_of;
+  std::vector<std::string_view> names;
+  std::vector<size_t> group(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const std::string& series = entries[i].series;
+    if (i > 0 && series == entries[i - 1].series) {
+      group[i] = group[i - 1];
+      continue;
+    }
+    auto [it, fresh] = group_of.emplace(series, names.size());
+    if (fresh) names.push_back(series);
+    group[i] = it->second;
+  }
+  std::vector<size_t> by_name(names.size());
+  for (size_t g = 0; g < names.size(); ++g) by_name[g] = g;
+  std::sort(by_name.begin(), by_name.end(),
+            [&](size_t a, size_t b) { return names[a] < names[b]; });
+  std::vector<size_t> rank(names.size());
+  for (size_t r = 0; r < by_name.size(); ++r) rank[by_name[r]] = r;
+  // Counting sort into name order (stable), then each group by chunk_start.
+  std::vector<size_t> begin(names.size() + 1, 0);
+  for (const size_t g : group) ++begin[rank[g] + 1];
+  for (size_t r = 0; r < names.size(); ++r) begin[r + 1] += begin[r];
+  std::vector<const ColdCatalogEntry*> order(entries.size());
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    order[next[rank[group[i]]]++] = &entries[i];
+  }
+  for (size_t r = 0; r < names.size(); ++r) {
+    std::stable_sort(order.begin() + begin[r], order.begin() + begin[r + 1],
+                     [](const ColdCatalogEntry* a, const ColdCatalogEntry* b) {
+                       return a->chunk_start < b->chunk_start;
+                     });
+  }
+  // File table in order of first use; consecutive entries usually share a
+  // file, so the map is consulted only when the name changes.
+  std::unordered_map<std::string_view, uint64_t> file_index;
+  std::vector<std::string_view> files;
+  std::vector<uint64_t> entry_file(order.size());
+  size_t name_bytes = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const std::string& file = order[i]->file;
+    if (i > 0 && file == order[i - 1]->file) {
+      entry_file[i] = entry_file[i - 1];
+      continue;
+    }
+    auto [it, fresh] = file_index.emplace(file, files.size());
+    if (fresh) {
+      files.push_back(file);
+      name_bytes += file.size();
+    }
+    entry_file[i] = it->second;
+  }
+  for (const std::string_view name : names) name_bytes += name.size();
+
+  std::string out;
+  // 96 B per entry covers the common shapes (kMaxEntryBytes bounds all).
+  out.reserve(64 + name_bytes + 2 * kMaxVarintBytes * (names.size() + 1) +
+              files.size() * kMaxVarintBytes + 96 * order.size());
+  out += kCatalogMagic;
+  PutVarint(&out, files.size());
+  for (const std::string_view name : files) {
+    PutVarint(&out, name.size());
+    out += name;
+  }
+  PutVarint(&out, names.size());
+  for (size_t r = 0; r < names.size(); ++r) {
+    const std::string_view name = names[by_name[r]];
+    PutVarint(&out, name.size());
+    out += name;
+    PutVarint(&out, begin[r + 1] - begin[r]);
+    EntryBase base;
+    for (size_t i = begin[r]; i < begin[r + 1]; ++i) {
+      AppendEntry(&out, *order[i], entry_file[i], &base);
+    }
+  }
+  AppendCrc32Trailer(&out);
+  return out;
+}
+
+Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view bytes) {
+  if (bytes.substr(0, kCatalogMagic.size()) == kCatalogMagic) {
+    return ParseBinaryCatalog(bytes);
+  }
+  return ParseTextCatalog(bytes);
 }
 
 SegmentStore::SegmentStore(const SegmentStoreOptions& options)
@@ -484,7 +768,7 @@ Status SegmentStore::SyncSegments() {
   return Status::OK();
 }
 
-Status SegmentStore::WriteCatalog(uint64_t seq) {
+Result<uint64_t> SegmentStore::WriteCatalog(uint64_t seq) {
   std::vector<ColdCatalogEntry> entries;
   {
     MutexLock lock(mu_);
@@ -502,28 +786,29 @@ Status SegmentStore::WriteCatalog(uint64_t seq) {
       entries.push_back(std::move(e));
     }
   }
-  const std::string text = EncodeColdCatalog(entries);
+  const std::string bytes = EncodeColdCatalog(entries);
   const std::string final_path =
       options_.dir + "/catalog-" + std::to_string(seq) + ".cold";
   const std::string tmp_path = final_path + ".tmp";
   std::unique_ptr<WritableFile> file;
   HYGRAPH_RETURN_IF_ERROR(env_->NewWritableFile(tmp_path, &file));
-  HYGRAPH_RETURN_IF_ERROR(file->Append(text));
+  HYGRAPH_RETURN_IF_ERROR(file->Append(bytes));
   HYGRAPH_RETURN_IF_ERROR(file->Sync());
   HYGRAPH_RETURN_IF_ERROR(file->Close());
-  return env_->RenameFile(tmp_path, final_path);
+  HYGRAPH_RETURN_IF_ERROR(env_->RenameFile(tmp_path, final_path));
+  return static_cast<uint64_t>(bytes.size());
 }
 
 Result<std::vector<ColdCatalogEntry>> SegmentStore::LoadCatalog(uint64_t seq) {
   const std::string path =
       options_.dir + "/catalog-" + std::to_string(seq) + ".cold";
-  std::string text;
-  Status read = env_->ReadFileToString(path, &text);
+  std::string bytes;
+  Status read = env_->ReadFileToString(path, &bytes);
   if (read.code() == StatusCode::kNotFound) {
     return std::vector<ColdCatalogEntry>{};  // pre-tiering checkpoint
   }
   HYGRAPH_RETURN_IF_ERROR(read);
-  auto entries = ParseColdCatalog(text);
+  auto entries = ParseColdCatalog(bytes);
   if (!entries.ok()) return entries.status();
   MutexLock lock(mu_);
   for (ColdCatalogEntry& e : *entries) {

@@ -29,15 +29,42 @@ struct ColdCatalogEntry {
   ts::ColdChunkId id = ts::kInvalidColdChunk;  ///< set by LoadCatalog
 };
 
-/// Serializes entries as a cold catalog: a versioned text header, one
-/// "chunk" line per entry (doubles as u64 bit patterns, so reload is
-/// bit-exact), and a CRC-32 trailer over everything above it.
+/// Serializes entries as a v2 cold catalog, grouped by series (series in
+/// name order, each group's entries in chunk_start order):
+///
+///   catalog := "HYGRAPH COLDCAT 2\n"
+///              varint(file_count) (varint(len) file_name)×file_count
+///              varint(series_count) group×series_count
+///              crc:u32le  -- CRC-32 of every preceding byte
+///   group   := varint(len) series_name  varint(entry_count) entry×count
+///   entry   := varint(file_index)
+///              zz(chunk_start − prev.chunk_start)  zz(offset − prev.offset)
+///              zz(length − prev.length)  zz(count − prev.count)
+///              zz(min_t − chunk_start)  zz(max_t − min_t)  flags:u8
+///              min_v:f64le  [max_v]  [varint agg.count]  [agg.min]
+///              [agg.max]  [zz(first.t − min_t) zz(last.t − max_t)]
+///              [sum sum_sq first.value last.value]
+///
+/// `prev` is the group's previous entry (zero for its first); zz is the
+/// zigzag varint of a wrapping uint64 difference; doubles travel as their
+/// raw 8-byte bit patterns. Flag bit 0 is all_finite; bits 1–6 each elide
+/// a bracketed field that is bitwise equal to what it derives from
+/// (agg.count == count, agg.min == min_v, agg.max == max_v, both agg.first.t
+/// == min_t and agg.last.t == max_t, max_v == min_v, and the one-sample form
+/// sum == first.value == last.value == min_v with sum_sq == min_v * min_v
+/// for a non-NaN min_v). Bit 7 is reserved. Every input round-trips bit for
+/// bit: NaN payloads, -0.0, ±inf, INT64_MIN/MAX and count 0 included.
 std::string EncodeColdCatalog(const std::vector<ColdCatalogEntry>& entries);
 
 /// Total decoder for untrusted catalog bytes (fuzzed): any malformed
 /// header, field, count or trailer is kCorruption, never a crash or an
-/// unbounded allocation. Entry `id`s are left unset.
-Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view text);
+/// unbounded allocation. Reads the v2 layout above and, read-only, the v1
+/// text catalog of earlier builds (one "chunk" line per entry, doubles as
+/// u64 hex, "crc" trailer line). v2 checks every count against the bytes
+/// left, file indexes against the file table, offsets against the frame
+/// header, lengths against kWalMaxRecordSize, names for emptiness (and file
+/// names for '/'), and rejects unknown flag bits. Entry `id`s are left unset.
+Result<std::vector<ColdCatalogEntry>> ParseColdCatalog(std::string_view bytes);
 
 struct SegmentStoreOptions {
   Env* env = nullptr;                ///< null -> Env::Default()
@@ -58,7 +85,9 @@ struct SegmentStoreOptions {
 ///                      A file is never rewritten; an I/O error retires it
 ///                      and the next Put or SyncSegments opens seg-<n+1>
 ///   catalog-<seq>.cold the live-record catalog paired with snapshot
-///                      <seq> (EncodeColdCatalog), written tmp+sync+rename
+///                      <seq> (EncodeColdCatalog: binary, one group per
+///                      series, derived fields elided), written
+///                      tmp+sync+rename; v1 text catalogs still load
 ///
 /// Durability protocol (DurableStore::Checkpoint, DESIGN.md §15): segment
 /// appends happen at spill time, SyncSegments() makes them durable, then
@@ -102,8 +131,9 @@ class SegmentStore final : public ts::ColdTier {
   /// pending, so a retry rewrites them instead of re-syncing the handle.
   Status SyncSegments();
   /// Writes catalog-<seq>.cold listing every live record (tmp+sync+rename,
-  /// so a crash never leaves a half-written catalog under the final name).
-  Status WriteCatalog(uint64_t seq);
+  /// so a crash never leaves a half-written catalog under the final name)
+  /// and returns its size in bytes.
+  Result<uint64_t> WriteCatalog(uint64_t seq);
   /// Reads catalog-<seq>.cold, registers each record as live and pinnable,
   /// and returns the entries with their assigned ids. A missing catalog is
   /// an empty tier (snapshots from before tiering), not an error.

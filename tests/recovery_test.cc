@@ -597,6 +597,39 @@ TEST_P(RecoveryTest, CheckpointRecordsSnapshotBytes) {
   EXPECT_EQ(it->second.sum, size);
 }
 
+// A tiered checkpoint records the size of the cold catalog it wrote
+// beside the snapshot's; a store with no hypertable writes no catalog.
+TEST_P(RecoveryTest, CheckpointRecordsCatalogBytes) {
+  DurableOptions options;
+  options.tiering.enabled = true;
+  auto store = MakeStore(options);
+  ASSERT_TRUE(store->Open().ok());
+  Ingest(store.get());
+  ASSERT_TRUE(store->Checkpoint().ok());
+  std::vector<std::string> children;
+  uint64_t size = 0;
+  size_t catalogs = 0;
+  if (env_->GetChildren(dir_ + "/cold", &children).ok()) {
+    for (const std::string& child : children) {
+      if (child.rfind("catalog-", 0) != 0) continue;
+      auto bytes = env_->GetFileSize(dir_ + "/cold/" + child);
+      ASSERT_TRUE(bytes.ok());
+      size = *bytes;
+      ++catalogs;
+    }
+  }
+  const bool tiered = store->inner()->series_hypertable() != nullptr;
+  ASSERT_EQ(catalogs, tiered ? 1u : 0u);
+  const auto snap = store->metrics()->Snapshot();
+  const auto it = snap.histograms.find("durable.catalog_bytes");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count, tiered ? 1u : 0u);
+  EXPECT_EQ(it->second.sum, size);
+  if (tiered) {
+    EXPECT_GT(size, 0u);
+  }
+}
+
 TEST_P(RecoveryTest, MutationsBeforeOpenAreRejected) {
   auto store = MakeStore();
   EXPECT_EQ(store->AddVertex({}, {}).status().code(),

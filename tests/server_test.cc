@@ -457,6 +457,63 @@ TEST_F(ServerTest, MetricsEndpointExportsSnapshotBytes) {
       << body;
 }
 
+TEST_F(ServerTest, MetricsEndpointExportsCatalogBytes) {
+  // A tiered store of its own, so the checkpoint writes a cold catalog.
+  char tmpl[] = "/tmp/hygraph_server_catalog_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  DurableOptions options;
+  options.sync_wal = false;
+  options.tiering.enabled = true;
+  ts::HypertableOptions narrow;
+  narrow.chunk_duration = 16;
+  auto tiered = std::make_unique<DurableStore>(
+      storage::Env::Default(), dir,
+      std::make_unique<storage::PolyglotStore>(narrow), options);
+  ASSERT_TRUE(tiered->Open().ok());
+  auto v = tiered->AddVertex({"Station"}, {});
+  ASSERT_TRUE(v.ok());
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_TRUE(tiered->AppendSample({query::EntityRef::Vertex(*v), "load",
+                                      i * 4, 0.5 * i}).ok());
+  }
+  ASSERT_TRUE(tiered->Checkpoint().ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(
+      storage::Env::Default()->GetChildren(dir + "/cold", &children).ok());
+  uint64_t catalog_size = 0;
+  for (const std::string& child : children) {
+    if (child.rfind("catalog-", 0) != 0) continue;
+    auto size = storage::Env::Default()->GetFileSize(dir + "/cold/" + child);
+    ASSERT_TRUE(size.ok());
+    catalog_size = *size;
+  }
+  ASSERT_GT(catalog_size, 0u);
+
+  HgqlServer server(tiered.get(), tiered.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto sock = net::Socket::Connect("127.0.0.1", server.metrics_port());
+  ASSERT_TRUE(sock.ok());
+  const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_TRUE(sock->WriteAll(get.data(), get.size()).ok());
+  std::string body;
+  char buf[4096];
+  for (;;) {
+    auto got = sock->ReadSome(buf, sizeof(buf));
+    if (!got.ok() || *got == 0) break;
+    body.append(buf, *got);
+  }
+  server.Stop();
+  std::system(("rm -rf " + dir).c_str());
+  // One checkpoint wrote one catalog of exactly that many bytes.
+  EXPECT_NE(body.find("hygraph_durable_catalog_bytes_count 1\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("hygraph_durable_catalog_bytes_sum " +
+                      std::to_string(catalog_size) + "\n"),
+            std::string::npos)
+      << body;
+}
+
 TEST_F(ServerTest, MetricsEndpointServesPrometheusText) {
   auto server = StartServer();
   ASSERT_NE(server, nullptr);

@@ -2,17 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/rng.h"
+#include "core/serialize.h"
 #include "storage/all_in_graph.h"
 #include "storage/env.h"
 #include "storage/fault_injection_env.h"
 #include "storage/polyglot.h"
+#include "storage/wal.h"
 #include "ts/hypertable.h"
 
 namespace hygraph::storage {
@@ -676,10 +686,140 @@ TEST_P(TieringRecoveryTest, SurvivesProbabilisticTransientFaults) {
 
 // -- catalog encoding -------------------------------------------------------
 
-// Captured from the string-concatenating encoder this one replaced: the
-// catalog is an on-disk format, so the rewrite must reproduce it byte for
-// byte — negative and extreme timestamps, NaN, ±inf, -0.0, subnormals,
-// %-encoded names and both all_finite values included.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every field of an entry with doubles as bit patterns, so EXPECT_EQ on
+// these compares bit for bit (NaN payloads and -0.0 included) and prints
+// a readable diff.
+std::string EntryBits(const ColdCatalogEntry& e) {
+  const ts::ColdChunkMeta& m = e.meta;
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      " %lld %llu %u | %zu %lld %lld %016llx %016llx %d %zu | %zu %016llx "
+      "%016llx %016llx %016llx %lld %016llx %lld %016llx",
+      static_cast<long long>(e.chunk_start),
+      static_cast<unsigned long long>(e.offset), e.length, m.count,
+      static_cast<long long>(m.min_t), static_cast<long long>(m.max_t),
+      static_cast<unsigned long long>(Bits(m.min_v)),
+      static_cast<unsigned long long>(Bits(m.max_v)), m.all_finite ? 1 : 0,
+      m.encoded_size, m.agg.count,
+      static_cast<unsigned long long>(Bits(m.agg.sum)),
+      static_cast<unsigned long long>(Bits(m.agg.sum_sq)),
+      static_cast<unsigned long long>(Bits(m.agg.min)),
+      static_cast<unsigned long long>(Bits(m.agg.max)),
+      static_cast<long long>(m.agg.first.t),
+      static_cast<unsigned long long>(Bits(m.agg.first.value)),
+      static_cast<long long>(m.agg.last.t),
+      static_cast<unsigned long long>(Bits(m.agg.last.value)));
+  return e.series + " @ " + e.file + buf;
+}
+
+std::vector<std::string> AllBits(const std::vector<ColdCatalogEntry>& entries) {
+  std::vector<std::string> out;
+  for (const ColdCatalogEntry& e : entries) out.push_back(EntryBits(e));
+  return out;
+}
+
+// The order EncodeColdCatalog writes and ParseColdCatalog returns: series
+// by name, then chunk_start, ties in input order.
+std::vector<ColdCatalogEntry> Canonical(std::vector<ColdCatalogEntry> entries) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const ColdCatalogEntry& a, const ColdCatalogEntry& b) {
+                     return std::tie(a.series, a.chunk_start) <
+                            std::tie(b.series, b.chunk_start);
+                   });
+  return entries;
+}
+
+// The v1 text catalog earlier builds wrote, kept here to make fixtures:
+// one "chunk" line per entry, %-encoded names, doubles as 16 hex digits,
+// and a CRC-32 trailer line. The golden test below pins it to the bytes
+// the v1 writer produced.
+std::string EncodeTextCatalog(const std::vector<ColdCatalogEntry>& entries) {
+  const auto bits = [](double v) {
+    char buf[20];
+    std::snprintf(buf, sizeof(buf), " %016llx",
+                  static_cast<unsigned long long>(Bits(v)));
+    return std::string(buf);
+  };
+  const auto num = [](auto v) { return " " + std::to_string(v); };
+  std::string out = "hygraph-coldcat v1\nchunks" + num(entries.size()) + "\n";
+  for (const ColdCatalogEntry& e : entries) {
+    const ts::ColdChunkMeta& m = e.meta;
+    out += "chunk ";
+    core::AppendEncodedField(&out, e.series);
+    out += num(e.chunk_start) + " ";
+    core::AppendEncodedField(&out, e.file);
+    out += num(e.offset) + num(e.length) + num(m.count) + num(m.min_t) +
+           num(m.max_t) + bits(m.min_v) + bits(m.max_v) +
+           (m.all_finite ? " 1" : " 0") + num(m.agg.count) + bits(m.agg.sum) +
+           bits(m.agg.sum_sq) + bits(m.agg.min) + bits(m.agg.max) +
+           num(m.agg.first.t) + bits(m.agg.first.value) +
+           num(m.agg.last.t) + bits(m.agg.last.value) + "\n";
+  }
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "crc %08x\n", Crc32(out));
+  return out + crc;
+}
+
+// A directory written by a build whose catalogs were v1 text still opens
+// with the same state, and the next checkpoint rewrites its catalog as v2.
+TEST_P(TieringRecoveryTest, TextCatalogFromEarlierBuildsOpensAndIsRewritten) {
+  std::string before;
+  uint64_t adopted = 0;
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    Ingest(store.get());
+    ASSERT_TRUE(store->Checkpoint().ok());
+    before = Signature(*store->inner());
+  }
+  const bool tiered = !ColdFiles(".cold").empty();
+  if (tiered) {
+    ASSERT_EQ(ColdFiles(".cold").size(), 1u);
+    const std::string path = dir_ + "/cold/" + ColdFiles(".cold")[0];
+    std::string bytes;
+    ASSERT_TRUE(env_->ReadFileToString(path, &bytes).ok());
+    ASSERT_EQ(bytes.rfind("HYGRAPH COLDCAT 2\n", 0), 0u);
+    auto entries = ParseColdCatalog(bytes);
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    ASSERT_GE(entries->size(), 22u);
+    adopted = entries->size();
+    // Earlier builds listed entries in record-map order, not grouped.
+    std::reverse(entries->begin(), entries->end());
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(path, &file).ok());
+    ASSERT_TRUE(file->Append(EncodeTextCatalog(*entries)).ok());
+    ASSERT_TRUE(file->Sync().ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+  {
+    auto store = MakeStore();
+    ASSERT_TRUE(store->Open().ok());
+    EXPECT_EQ(store->recovery().cold_chunks_adopted, adopted);
+    EXPECT_EQ(Signature(*store->inner()), before);
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  if (tiered) {
+    ASSERT_EQ(ColdFiles(".cold").size(), 1u);
+    std::string bytes;
+    ASSERT_TRUE(env_->ReadFileToString(
+                        dir_ + "/cold/" + ColdFiles(".cold")[0], &bytes)
+                    .ok());
+    EXPECT_EQ(bytes.rfind("HYGRAPH COLDCAT 2\n", 0), 0u);
+  }
+  auto store = MakeStore();
+  ASSERT_TRUE(store->Open().ok());
+  EXPECT_EQ(store->recovery().cold_chunks_adopted, adopted);
+  EXPECT_EQ(Signature(*store->inner()), before);
+}
+
+// Three hostile entries: negative and extreme timestamps, NaN, ±inf,
+// -0.0, subnormals, names that need %-encoding in v1 and both all_finite
+// values. The catalog is an on-disk format, so the encoder must reproduce
+// the v2 golden bytes exactly, and the v1 text an earlier build wrote for
+// the same entries must still decode to them bit for bit.
 TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -698,6 +838,7 @@ TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
   a.meta.min_v = -0.0;
   a.meta.max_v = 1.5;
   a.meta.all_finite = true;
+  a.meta.encoded_size = 42;
   a.meta.agg.count = 3;
   a.meta.agg.sum = 2.25;
   a.meta.agg.sum_sq = 3.0625;
@@ -717,6 +858,7 @@ TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
   b.meta.min_v = nan;
   b.meta.max_v = inf;
   b.meta.all_finite = false;
+  b.meta.encoded_size = 65535;
   b.meta.agg.count = 14;
   b.meta.agg.sum = -inf;
   b.meta.agg.sum_sq = nan;
@@ -736,6 +878,7 @@ TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
   c.meta.min_v = 1e-310;
   c.meta.max_v = -1e300;
   c.meta.all_finite = true;
+  c.meta.encoded_size = 0;
   c.meta.agg.count = 0;
   c.meta.agg.sum = 0.1;
   c.meta.agg.sum_sq = 5e-324;
@@ -744,7 +887,65 @@ TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
   c.meta.agg.first = {1, 0.0};
   c.meta.agg.last = {-1, -nan};
 
-  const std::string golden =
+  // The v2 layout of segment_store.h: magic, the file table in order of
+  // first use, then one group per series in name order ("e…" < "v\x01…" <
+  // "v12…"). Doubles are little-endian bit patterns.
+  const char kGolden[] =
+      "HYGRAPH COLDCAT 2\n"
+      "\x03" "\x0a" "seg-12.seg" "\x0a" "seg%41.seg" "\x09" "seg-0.seg"
+      "\x03"
+      // "e 7%.trip\n", one entry in file 0. chunk_start INT64_MIN is the
+      // 10-byte varint; max_t − min_t wraps to −1. Flags 0x1a elide
+      // agg.count, agg.max and the end times; seven doubles follow.
+      "\x0a" "e 7%.trip\n" "\x01"
+      "\x00" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"
+      "\xa8\xe8\xc8\xe9\x97\x07" "\xfe\xff\x07" "\x1c" "\x00" "\x01" "\x1a"
+      "\x00\x00\x00\x00\x00\x00\xf8\x7f"   // min_v NaN
+      "\x00\x00\x00\x00\x00\x00\xf0\x7f"   // max_v +inf
+      "\x00\x00\x00\x00\x00\x00\xf0\xff"   // agg.min -inf
+      "\x00\x00\x00\x00\x00\x00\xf0\xff"   // sum -inf
+      "\x00\x00\x00\x00\x00\x00\xf8\x7f"   // sum_sq NaN
+      "\x00\x00\x00\x00\x00\x00\xf0\xff"   // first.value -inf
+      "\x00\x00\x00\x00\x00\x00\xf8\x7f"   // last.value NaN
+      // "v\x01\x7f%y", one entry in file 1: offset UINT64_MAX is a delta
+      // of −1; count 0. Flags 0x03 (all_finite, agg.count): every other
+      // field is explicit, the end times as deltas +1 and 0.
+      "\x05" "v\x01\x7f%y" "\x01"
+      "\x01" "\x00" "\x01" "\x00" "\x00" "\x00" "\x01" "\x03"
+      "\x2b\xe6\x70\x8b\x68\x12\x00\x00"   // min_v 1e-310
+      "\x9c\x75\x00\x88\x3c\xe4\x37\xfe"   // max_v -1e300
+      "\xff\xff\xff\xff\xff\xff\xef\x7f"   // agg.min DBL_MAX
+      "\xff\xff\xff\xff\xff\xff\xef\xff"   // agg.max -DBL_MAX
+      "\x02" "\x00"                        // first.t, last.t
+      "\x9a\x99\x99\x99\x99\x99\xb9\x3f"   // sum 0.1
+      "\x01\x00\x00\x00\x00\x00\x00\x00"   // sum_sq 5e-324
+      "\x00\x00\x00\x00\x00\x00\x00\x00"   // first.value 0.0
+      "\x00\x00\x00\x00\x00\x00\xf8\xff"   // last.value -NaN
+      // "v12.temp", one entry in file 2. Flags 0x1f elide agg.count,
+      // agg.min, agg.max and the end times.
+      "\x08" "v12.temp" "\x01"
+      "\x02" "\xff\xef\xb2\x52" "\x10" "\x54" "\x06" "\x00" "\xd0\x0f" "\x1f"
+      "\x00\x00\x00\x00\x00\x00\x00\x80"   // min_v -0.0
+      "\x00\x00\x00\x00\x00\x00\xf8\x3f"   // max_v 1.5
+      "\x00\x00\x00\x00\x00\x00\x02\x40"   // sum 2.25
+      "\x00\x00\x00\x00\x00\x80\x08\x40"   // sum_sq 3.0625
+      "\x00\x00\x00\x00\x00\x00\x00\x80"   // first.value -0.0
+      "\x00\x00\x00\x00\x00\x00\xf8\x3f"   // last.value 1.5
+      "\xa4\x02\x17\x87";                  // CRC-32
+  const std::string golden(kGolden, sizeof(kGolden) - 1);
+  EXPECT_EQ(EncodeColdCatalog(entries), golden);
+  EXPECT_EQ(EncodeColdCatalog({}),
+            std::string("HYGRAPH COLDCAT 2\n\x00\x00\x21\xc6\xd6\x6c", 24));
+  // The golden bytes are a valid catalog, decode bit-exactly in canonical
+  // order, and are a fixed point of parse+encode.
+  auto parsed = ParseColdCatalog(golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(AllBits(*parsed), AllBits(Canonical(entries)));
+  EXPECT_EQ(EncodeColdCatalog(*parsed), golden);
+
+  // The v1 text the previous encoder wrote for the same entries: a decode
+  // fixture now, since the writer emits only v2.
+  const std::string text_golden =
       "hygraph-coldcat v1\n"
       "chunks 3\n"
       "chunk v12.temp -86400000 seg-0.seg 8 42 3 -86400000 -86399000 "
@@ -761,13 +962,241 @@ TEST(ColdCatalogTest, EncoderMatchesGoldenBytes) {
       "0000000000000001 7fefffffffffffff ffefffffffffffff 1 "
       "0000000000000000 -1 fff8000000000000\n"
       "crc 09641573\n";
-  EXPECT_EQ(EncodeColdCatalog(entries), golden);
-  EXPECT_EQ(EncodeColdCatalog({}),
-            "hygraph-coldcat v1\nchunks 0\ncrc 46b19161\n");
-  // The golden text is a valid catalog and a fixed point of parse+encode.
-  auto parsed = ParseColdCatalog(golden);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(EncodeColdCatalog(*parsed), golden);
+  EXPECT_EQ(EncodeTextCatalog(entries), text_golden);
+  auto from_text = ParseColdCatalog(text_golden);
+  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
+  EXPECT_EQ(AllBits(*from_text), AllBits(entries));
+  EXPECT_EQ(EncodeColdCatalog(*from_text), golden);
+}
+
+// A small v2 catalog shaped like the bike-sharing store: one one-sample
+// trip entry ("e5.trips", first group) and two 288-sample station days.
+std::vector<ColdCatalogEntry> TripAndStationEntries() {
+  constexpr Timestamp kDay = 86'400'000;
+  std::vector<ColdCatalogEntry> entries(3);
+  for (int i = 0; i < 3; ++i) {
+    ColdCatalogEntry& e = entries[i];
+    const bool trip = i == 0;
+    e.series = trip ? "e5.trips" : "v0.bikes";
+    e.chunk_start = (trip ? 3 : i) * kDay;
+    e.file = "seg-0.seg";
+    e.offset = 8 + 400 * i;
+    e.length = trip ? 19 : 330;
+    ts::ColdChunkMeta& m = e.meta;
+    m.count = trip ? 1 : 288;
+    m.min_t = e.chunk_start + (trip ? 3'600'000 : 0);
+    m.max_t = trip ? m.min_t : e.chunk_start + kDay - 300'000;
+    m.min_v = trip ? 1.0 : 3.0;
+    m.max_v = trip ? 1.0 : 17.0;
+    m.all_finite = true;
+    m.encoded_size = e.length;
+    m.agg.count = m.count;
+    m.agg.sum = trip ? 1.0 : 2880.0 + i;
+    m.agg.sum_sq = trip ? 1.0 : 31000.0 + i;
+    m.agg.min = m.min_v;
+    m.agg.max = m.max_v;
+    m.agg.first = {m.min_t, trip ? 1.0 : 9.0};
+    m.agg.last = {m.max_t, trip ? 1.0 : 11.0};
+  }
+  return entries;
+}
+
+// Replaces the CRC trailer of `bytes` with the CRC of its new body, so a
+// mutation reaches the decoder's structural checks instead of the CRC.
+std::string Reseal(std::string bytes) {
+  bytes.resize(bytes.size() - 4);
+  const uint32_t crc = Crc32(bytes);
+  for (int i = 0; i < 4; ++i) bytes.push_back(char((crc >> (8 * i)) & 0xff));
+  return bytes;
+}
+
+// Each hostile v2 catalog (fuzz/corpus/segment_load holds the same shapes
+// as seeds) is kCorruption for the reason its check names.
+TEST(ColdCatalogTest, HostileBinaryCatalogsAreCorruption) {
+  const std::string valid = EncodeColdCatalog(TripAndStationEntries());
+  ASSERT_TRUE(ParseColdCatalog(valid).ok());
+  // magic (18) | file count | 9 "seg-0.seg" | series count | 8 "e5.trips"
+  // entry count | first entry: file index, then the chunk_start varint.
+  constexpr size_t kFileCount = 18;
+  constexpr size_t kSeriesCount = kFileCount + 1 + 1 + 9;
+  constexpr size_t kEntry = kSeriesCount + 1 + 1 + 8 + 1;
+  ASSERT_EQ(valid.substr(kSeriesCount + 2, 8), "e5.trips");
+  // The trip entry's varints: file index, chunk_start (5 bytes), offset,
+  // length, count, min_t − chunk_start (4 bytes), max_t − min_t; then flags.
+  constexpr size_t kOffset = kEntry + 1 + 5;
+  constexpr size_t kFlags = kOffset + 1 + 1 + 1 + 4 + 1;
+  ASSERT_EQ(static_cast<uint8_t>(valid[kFlags]), 0x7fu);  // all derived
+
+  const auto with = [&](size_t pos, size_t len, std::string_view bytes) {
+    std::string out = valid;
+    out.replace(pos, len, bytes);
+    return Reseal(out);
+  };
+  const auto expect = [](const std::string& bytes, const std::string& why) {
+    auto parsed = ParseColdCatalog(bytes);
+    ASSERT_FALSE(parsed.ok()) << why;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(parsed.status().message().find(why), std::string::npos)
+        << parsed.status().ToString();
+  };
+  expect(Reseal(valid.substr(0, valid.size() - 24)), "truncated");
+  std::string bad_crc = valid;
+  bad_crc.back() ^= 0x01;
+  expect(bad_crc, "CRC mismatch");
+  expect(with(kSeriesCount, 1, "\x80\x80\x80\x80\x80\x80\x80\x80\x01"),
+         "implausible series count");
+  expect(with(kFileCount, 1, std::string("\x81\x80\x80\x80\x80\x80\x80\x80"
+                                         "\x80\x80\x00", 11)),
+         "varint overflows 64 bits");
+  expect(with(kEntry, 1, "\x01"), "file index 1 outside");
+  expect(with(kOffset, 1, "\x08"), "offset inside frame header");  // 4
+  expect(with(kFlags, 1, "\xff"), "unknown flag bits");
+}
+
+// One random double: mostly raw bit patterns (NaN payloads, subnormals and
+// signed zeros included), sometimes an edge value.
+double RandomDouble(Rng* rng) {
+  static constexpr double kEdges[] = {
+      0.0, -0.0, 1.0, -1.5, std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max()};
+  if (rng->NextBounded(4) == 0) {
+    return kEdges[rng->NextBounded(std::size(kEdges))];
+  }
+  return std::bit_cast<double>(rng->Next());
+}
+
+// Any value whose bits differ from `v`'s.
+double OtherThan(double v, Rng* rng) {
+  const double other = RandomDouble(rng);
+  return Bits(other) != Bits(v) ? other
+                                : std::bit_cast<double>(Bits(v) ^ 1u);
+}
+
+int64_t RandomTime(Rng* rng) {
+  switch (rng->NextBounded(4)) {
+    case 0: return std::numeric_limits<int64_t>::min();
+    case 1: return std::numeric_limits<int64_t>::max();
+    case 2: return rng->NextInRange(-1'000'000, 1'000'000);
+    default: return static_cast<int64_t>(rng->Next());
+  }
+}
+
+// The derivations the v2 encoder may elide, one bit each in `derive`.
+enum Derivation : unsigned {
+  kAggCount = 1u << 0,    // agg.count == count
+  kAggMin = 1u << 1,      // agg.min == min_v
+  kAggMax = 1u << 2,      // agg.max == max_v
+  kEnds = 1u << 3,        // agg.first.t == min_t, agg.last.t == max_t
+  kFlatValue = 1u << 4,   // max_v == min_v
+  kOneSample = 1u << 5,   // sum/first/last == min_v, sum_sq == min_v^2
+  kAllDerivations = (1u << 6) - 1,
+};
+
+// A random entry in which exactly the derivations in `derive` hold.
+ColdCatalogEntry RandomEntry(Rng* rng, unsigned derive) {
+  static const char* const kSeries[] = {"v0.bikes", "v1.bikes", "e7.trips",
+                                        "e 8%.x/y", "v\xff.k"};
+  static const char* const kFiles[] = {"seg-0.seg", "seg-1.seg", "s%2F"};
+  ColdCatalogEntry e;
+  e.series = kSeries[rng->NextBounded(std::size(kSeries))];
+  e.file = kFiles[rng->NextBounded(std::size(kFiles))];
+  e.chunk_start = RandomTime(rng);
+  e.offset = 8 + rng->NextBounded(rng->NextBounded(2) ? 1u << 20 : ~0ull - 8);
+  e.length = static_cast<uint32_t>(rng->NextBounded(kWalMaxRecordSize + 1));
+  ts::ColdChunkMeta& m = e.meta;
+  m.encoded_size = e.length;
+  m.count = rng->NextBounded(3) == 0 ? rng->Next() : rng->NextBounded(300);
+  m.min_t = RandomTime(rng);
+  m.max_t = RandomTime(rng);
+  m.all_finite = rng->NextBounded(2) == 0;
+  m.min_v = RandomDouble(rng);
+  if ((derive & kOneSample) && std::isnan(m.min_v)) m.min_v = -0.0;
+  m.max_v = (derive & kFlatValue) ? m.min_v : OtherThan(m.min_v, rng);
+  m.agg.count = (derive & kAggCount) ? m.count : m.count + 1 + rng->Next() % 9;
+  m.agg.min = (derive & kAggMin) ? m.min_v : OtherThan(m.min_v, rng);
+  m.agg.max = (derive & kAggMax) ? m.max_v : OtherThan(m.max_v, rng);
+  m.agg.first.t = m.min_t;
+  m.agg.last.t = m.max_t;
+  if (!(derive & kEnds)) {
+    if (rng->NextBounded(2) == 0) {
+      m.agg.first.t = static_cast<int64_t>(static_cast<uint64_t>(m.min_t) +
+                                           1 + rng->NextBounded(9));
+    } else {
+      m.agg.last.t = static_cast<int64_t>(static_cast<uint64_t>(m.max_t) -
+                                          1 - rng->NextBounded(9));
+    }
+  }
+  m.agg.sum = m.agg.first.value = m.agg.last.value = m.min_v;
+  m.agg.sum_sq = m.min_v * m.min_v;
+  if (!(derive & kOneSample)) {
+    // Break the form in one of its four parts, or in all of them.
+    switch (rng->NextBounded(5)) {
+      case 0: m.agg.sum = OtherThan(m.agg.sum, rng); break;
+      case 1: m.agg.sum_sq = OtherThan(m.agg.sum_sq, rng); break;
+      case 2: m.agg.first.value = OtherThan(m.min_v, rng); break;
+      case 3: m.agg.last.value = OtherThan(m.min_v, rng); break;
+      default:
+        m.agg.sum = RandomDouble(rng);
+        m.agg.sum_sq = RandomDouble(rng);
+        m.agg.first.value = RandomDouble(rng);
+        m.agg.last.value = RandomDouble(rng);
+    }
+  }
+  return e;
+}
+
+// Random metas over every combination of the elision flags round-trip bit
+// for bit, and the v2 bytes are a fixed point of parse+encode.
+TEST(ColdCatalogTest, RandomMetasRoundTripBitExact) {
+  Rng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<ColdCatalogEntry> entries;
+    for (unsigned derive = 0; derive <= kAllDerivations; ++derive) {
+      for (int k = 0; k < 4; ++k) entries.push_back(RandomEntry(&rng, derive));
+    }
+    const std::string encoded = EncodeColdCatalog(entries);
+    auto parsed = ParseColdCatalog(encoded);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(AllBits(*parsed), AllBits(Canonical(entries)));
+    ASSERT_EQ(EncodeColdCatalog(*parsed), encoded);
+  }
+}
+
+// Each derivation, when it holds, really shrinks the entry: one entry with
+// only that derivation encodes smaller than the same entry with none.
+TEST(ColdCatalogTest, EachDerivationElidesItsField) {
+  const std::vector<unsigned> derivations = {kAggCount, kAggMin, kAggMax,
+                                             kEnds, kFlatValue, kOneSample};
+  for (const unsigned d : derivations) {
+    SCOPED_TRACE("derivation " + std::to_string(d));
+    Rng rng(d);
+    const ColdCatalogEntry none = RandomEntry(&rng, 0);
+    ColdCatalogEntry only = none;
+    ts::ColdChunkMeta& m = only.meta;
+    if (std::isnan(m.min_v)) m.min_v = 2.5;
+    switch (d) {
+      case kAggCount: m.agg.count = m.count; break;
+      case kAggMin: m.agg.min = m.min_v; break;
+      case kAggMax: m.agg.max = m.max_v; break;
+      case kEnds:
+        m.agg.first.t = m.min_t;
+        m.agg.last.t = m.max_t;
+        break;
+      case kFlatValue: m.max_v = m.min_v; break;
+      case kOneSample:
+        m.agg.sum = m.agg.first.value = m.agg.last.value = m.min_v;
+        m.agg.sum_sq = m.min_v * m.min_v;
+        break;
+    }
+    const std::string with = EncodeColdCatalog({only});
+    EXPECT_LT(with.size(), EncodeColdCatalog({none}).size());
+    auto parsed = ParseColdCatalog(with);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(AllBits(*parsed), AllBits({only}));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
